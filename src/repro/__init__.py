@@ -46,9 +46,7 @@ from repro.instant import InstantBruteForce, InstantIntervalTree
 from repro.engine import TemporalRankingEngine
 from repro.storage.persistence import (
     PersistenceError,
-    load_index,
     read_payload,
-    save_index,
     write_payload,
 )
 from repro.approximate import (
@@ -126,7 +124,5 @@ __all__ = [
     "PersistenceError",
     "write_payload",
     "read_payload",
-    "save_index",
-    "load_index",
     "__version__",
 ]

@@ -64,12 +64,9 @@ def cumulative_matrix_T(
 
     Row ``j`` holds every object's cumulative at breakpoint ``j``, so
     batched builders difference whole *rows* (contiguous lanes).
-    Values come from the store's grid kernel — bit-identical to
-    ``cumulative_at_many`` without the ``(q, m)`` broadcast bisection.
     """
     store = database.store()
-    grid = store.cumulative_at_grid(np.asarray(breakpoint_times))
-    return store.object_ids, grid
+    return store.object_ids, store.cumulative_at_many(breakpoint_times)
 
 
 def top_kmax_of_column(

@@ -61,10 +61,16 @@ from repro.core.results import TopKResult, top_k_from_arrays
 #: bounds peak memory of (q, m) broadcasts to ~a few hundred MB.
 _CHUNK_ELEMENTS = 4 << 20
 
-#: Chunk sizes at or above this locate pieces via the count-matrix
-#: pass (one global searchsorted + histogram cumsum) instead of the
-#: broadcast bisection; results are bit-identical, only speed differs.
-_COUNT_LOCATE_MIN_QUERIES = 16
+
+def row_chunks(q: int, m: int) -> List[slice]:
+    """Row slices covering ``q`` rows of a ``(q, m)`` computation, each
+    holding at most ``_CHUNK_ELEMENTS`` elements (at least one row).
+
+    Every batched many-query kernel iterates these, so results must
+    not depend on the chunking; the cap is read at call time.
+    """
+    step = max(1, _CHUNK_ELEMENTS // max(m, 1))
+    return [slice(lo, lo + step) for lo in range(0, q, step)]
 
 
 def isin_sorted(sorted_values: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -108,6 +114,7 @@ class CSRView:
         "ends",
         "totals",
         "segment",
+        "_knot_obj",
     )
 
     def __init__(
@@ -133,6 +140,9 @@ class CSRView:
         # in memory.  Segment-backed views pickle as just this path —
         # see __reduce__ — so process fan-out ships no array bytes.
         self.segment = segment
+        # Knot -> object row map of :meth:`locate_many`; derived from
+        # ``offsets`` on first use and never pickled.
+        self._knot_obj: Optional[np.ndarray] = None
 
     def __reduce__(self):
         if self.segment is not None:
@@ -158,16 +168,17 @@ class CSRView:
         return int(self.offsets.size - 1)
 
     def _locate(self, tc: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """Flat knot index of the segment containing each clamped time.
+        """Flat knot index of the segment containing one clamped time.
 
-        ``tc`` must broadcast to ``(..., hi - lo)`` and satisfy
-        ``starts <= tc <= ends`` elementwise over objects
-        ``[lo, hi)``.  Returns, per entry, the largest knot index
-        ``j`` within the object's segment-left range with
-        ``knot_times[j] <= tc`` — the same piece the scalar
-        ``searchsorted(times, t, "right") - 1`` selects.  Implemented
-        as a shared bisection over the CSR arrays: ``O(log max_n)``
-        vectorized rounds instead of per-object Python searches.
+        The kernel of the single-time entry points (``cumulative_at``,
+        ``values_at``): ``tc`` is the ``(hi - lo,)`` clamp of one time
+        into the spans of objects ``[lo, hi)``.  Returns, per object,
+        the largest knot index ``j`` within its segment-left range
+        with ``knot_times[j] <= tc`` — the same piece the scalar
+        ``searchsorted(times, t, "right") - 1`` selects — by a shared
+        bisection over the CSR arrays: ``O(m log max_n)`` work, where
+        the time-grid kernel :meth:`locate_many` pays ``O(K)`` per
+        call.
         """
         shape = tc.shape
         low = np.broadcast_to(self.offsets[lo:hi], shape).copy()
@@ -186,35 +197,56 @@ class CSRView:
             high[go_down] = mid[go_down] - 1
         return low
 
-    def locate_grid(self, tc: np.ndarray) -> np.ndarray:
-        """:meth:`_locate` for a clamped ``(q, m)`` grid of times.
+    def locate_many(self, ts: np.ndarray) -> np.ndarray:
+        """Piece location for a grid of ``q`` times x all ``m`` objects.
 
-        Identical index selection (largest segment-left knot with time
-        <= ``tc``, clamped to the object's piece range) computed with
-        one ``searchsorted`` per object over its own knots instead of
-        the ``(q, m)`` broadcast bisection — much faster when ``q``
-        is small relative to the knot counts, exactly like
-        :meth:`PLFStore.cumulative_at_grid`.  The batched query
-        pipelines (EXACT3, instant) locate whole workloads with this.
+        ``located[r, i]`` is the flat index of the largest segment-left
+        knot of object ``i`` with time ``<= ts[r]``, clamped to the
+        object's piece range — ``searchsorted(times_i, ts[r], "right")
+        - 1`` per pair, :meth:`_locate`'s selection — with no loop over
+        objects and no ``(q, m)`` bisection rounds.  One global
+        ``searchsorted`` ranks every knot among the sorted times; a
+        per-object histogram of those ranks, cumsummed, gives
+        ``#{knots of i with time <= ts[r]}`` for every pair (a knot
+        counts for rank ``r`` iff fewer than ``r + 1`` times lie
+        strictly below it, which is exactly ``time <= ts[r]``; ties
+        between equal times cannot overcount because any knot above
+        them ranks past the whole duplicate run).  Out-of-span times
+        land on the first/last piece, whose value the callers'
+        boundary masks replace.  Every batched pipeline (EXACT3 stabs,
+        the instant tree, ``cumulative_at_many``, ``values_at_many``,
+        the top-list builders) locates through this one kernel.
         """
-        q, m = tc.shape
-        located = np.empty((m, q), dtype=np.int64)
-        knot_times = self.knot_times
-        offsets = self.offsets.tolist()
-        # Transposed so every per-object searchsorted reads and writes
-        # one contiguous lane.
-        tc_t = np.ascontiguousarray(tc.T)
-        for i in range(m):
-            lo = offsets[i]
-            hi = offsets[i + 1]
-            row = located[i]
-            np.add(
-                knot_times[lo:hi].searchsorted(tc_t[i], "right"),
-                lo - 1,
-                out=row,
+        q = ts.size
+        m = self.num_objects
+        if self._knot_obj is None:
+            self._knot_obj = np.repeat(
+                np.arange(m, dtype=np.int64), np.diff(self.offsets)
             )
-            np.clip(row, lo, hi - 2, out=row)
-        return located.T
+        order = np.argsort(ts)
+        cell = np.searchsorted(ts[order], self.knot_times, side="left")
+        cell *= m
+        cell += self._knot_obj
+        counts = np.bincount(cell, minlength=(q + 1) * m).reshape(q + 1, m)
+        np.cumsum(counts, axis=0, out=counts)
+        # Row r of counts belongs to the r-th smallest time.
+        located = np.empty((q, m), dtype=np.int64)
+        located[order] = counts[:q]
+        located += self.offsets[:-1] - 1
+        np.clip(located, self.offsets[:-1], self.offsets[1:] - 2, out=located)
+        return located
+
+    def locate_grid(self, tc: np.ndarray) -> np.ndarray:
+        """:meth:`locate_many` for a caller that holds only the clamped
+        grid ``tc = clip(ts[:, None], starts, ends)``.
+
+        A clamped row determines its time as far as piece selection
+        goes: the largest entry above its object's start is ``ts[r]``
+        itself (or the latest end below it, past which no knot lies),
+        and a row with no such entry precedes every span.
+        """
+        ts = np.where(tc > self.starts, tc, -np.inf).max(axis=1)
+        return self.locate_many(ts)
 
     def _cumulative_clamped(self, tc: np.ndarray, j: np.ndarray) -> np.ndarray:
         """``C_i(tc)`` given located pieces; scalar-identical arithmetic.
@@ -343,7 +375,6 @@ class PLFStore:
         "_absolute",
         "_csr",
         "_knot_set",
-        "_knot_obj",
         "_segment",
     )
 
@@ -386,7 +417,6 @@ class PLFStore:
         self._absolute: Optional["PLFStore"] = None
         self._csr: Optional[CSRView] = None
         self._knot_set: Optional[np.ndarray] = None
-        self._knot_obj: Optional[np.ndarray] = None
         self._segment = segment
 
     @classmethod
@@ -592,16 +622,6 @@ class PLFStore:
             self._knot_set = cached
         return cached
 
-    def _locate(self, tc: np.ndarray) -> np.ndarray:
-        """Flat knot index of the segment containing each clamped time
-        (see :meth:`CSRView._locate`; full object range)."""
-        return self.csr_view()._locate(tc, 0, self.num_objects)
-
-    def _cumulative_clamped(self, tc: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """``C_i(tc)`` given located pieces; scalar-identical arithmetic
-        (see :meth:`CSRView._cumulative_clamped`)."""
-        return self.csr_view()._cumulative_clamped(tc, j)
-
     # ------------------------------------------------------------------
     # batch primitives
     # ------------------------------------------------------------------
@@ -616,86 +636,29 @@ class PLFStore:
     def cumulative_at_many(self, ts: np.ndarray) -> np.ndarray:
         """``C_i(t)`` for every object and every query time: ``(q, m)``.
 
-        Work is chunked over query times so the transient ``(q, m)``
-        integer/float broadcasts stay within a bounded footprint.
-        Large chunks locate pieces with the count-matrix pass
-        (:meth:`_locate_counts` — one global ``searchsorted`` plus a
-        per-object histogram cumsum, a handful of array passes) instead
-        of the ``O(log max_n)``-round broadcast bisection; piece
-        selection and the clamped-trapezoid arithmetic are bit-identical
-        either way, so results do not depend on the chunking or the
-        path taken.
+        Row ``r`` is bit-identical to ``cumulative_at(ts[r])``.  Work
+        is chunked over query times (:func:`row_chunks`) so the
+        transient ``(q, m)`` arrays stay within a bounded footprint;
+        pieces come from :meth:`CSRView.locate_many` and the
+        arithmetic is elementwise, so results do not depend on the
+        chunking.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
-        q = ts.size
-        m = self.num_objects
-        out = np.empty((q, m), dtype=np.float64)
-        step = max(1, _CHUNK_ELEMENTS // max(m, 1))
-        for lo_row in range(0, q, step):
-            flat = ts[lo_row : lo_row + step]
-            if flat.size >= _COUNT_LOCATE_MIN_QUERIES:
-                out[lo_row : lo_row + step] = self._cumulative_chunk_counts(
-                    flat
-                )
-                continue
-            chunk = flat[:, None]
-            tc = np.clip(chunk, self.starts, self.ends)
-            cum = self._cumulative_clamped(tc, self._locate(tc))
-            out[lo_row : lo_row + step] = np.where(
-                chunk <= self.starts,
-                0.0,
-                np.where(chunk >= self.ends, self.totals, cum),
-            )
+        out = np.empty((ts.size, self.num_objects), dtype=np.float64)
+        for rows in row_chunks(ts.size, self.num_objects):
+            out[rows] = self._cumulative_chunk(ts[rows])
         return out
 
-    def _locate_counts(self, ts: np.ndarray) -> np.ndarray:
-        """:meth:`_locate`'s piece selection for a whole chunk at once.
+    def _cumulative_chunk(self, ts: np.ndarray) -> np.ndarray:
+        """One chunk of :meth:`cumulative_at_many`.
 
-        ``located[r, i]`` is the flat index of the segment-left knot
-        the bisection would pick for time ``ts[r]`` on object ``i`` —
-        computed without any ``(q, m)`` bisection rounds.  One global
-        ``searchsorted`` ranks every knot among the sorted chunk
-        times; a per-object histogram of those ranks, cumsummed, gives
-        ``#{knots of i with time <= ts[r]}`` for every pair (a knot
-        counts for rank ``r`` iff fewer than ``r + 1`` chunk times lie
-        strictly below it, which is exactly ``time <= ts[r]``; ties
-        between equal chunk times cannot overcount because any knot
-        above them ranks past the whole duplicate run).  Clamping into
-        each object's segment-left range matches ``searchsorted(times,
-        t, "right") - 1`` — the documented :meth:`CSRView._locate`
-        selection — for every in-span time; out-of-span times land on
-        the first/last piece, whose value the caller's boundary masks
-        replace.
-        """
-        qc = ts.size
-        m = self.num_objects
-        order = np.argsort(ts, kind="stable")
-        ranks = np.empty(qc, dtype=np.int64)
-        ranks[order] = np.arange(qc, dtype=np.int64)
-        pos = np.searchsorted(ts[order], self.knot_times, side="left")
-        if self._knot_obj is None:
-            self._knot_obj = np.repeat(
-                np.arange(m, dtype=np.int64), np.diff(self.offsets)
-            )
-        hist = np.bincount(
-            self._knot_obj * (qc + 1) + pos, minlength=m * (qc + 1)
-        )
-        counts = hist.reshape(m, qc + 1).cumsum(axis=1)
-        located = np.ascontiguousarray(counts[:, ranks].T)
-        located += self.offsets[:-1] - 1
-        np.clip(located, self.offsets[:-1], self.offsets[1:] - 2, out=located)
-        return located
-
-    def _cumulative_chunk_counts(self, ts: np.ndarray) -> np.ndarray:
-        """One chunk of :meth:`cumulative_at_many` via the count locate.
-
-        Identical arithmetic to :meth:`_cumulative_clamped` — the
-        chord slope comes from the precomputed per-segment
+        Identical arithmetic to :meth:`CSRView._cumulative_clamped` —
+        the chord slope comes from the precomputed per-segment
         :attr:`slopes` (the very same ``(v1 - v0) / (t1 - t0)``
-        division), so every float is bit-identical to the bisection
+        division), so every float is bit-identical to the single-time
         path.
         """
-        j = self._locate_counts(ts)
+        j = self.csr_view().locate_many(ts)
         col = ts[:, None]
         tc = np.clip(col, self.starts, self.ends)
         t0 = self.knot_times[j]
@@ -713,38 +676,6 @@ class PLFStore:
         half = np.multiply(0.5, dt, out=dt)
         cum = np.multiply(half, total, out=half)
         cum = np.add(self.prefix_masses[j], cum, out=cum)
-        return np.where(
-            col <= self.starts,
-            0.0,
-            np.where(col >= self.ends, self.totals, cum),
-        )
-
-    def cumulative_at_grid(self, ts: np.ndarray) -> np.ndarray:
-        """:meth:`cumulative_at_many` for a small grid of times.
-
-        Bit-identical results (piece location is pure index selection,
-        and the clamped-trapezoid arithmetic is shared), but pieces are
-        found with one ``searchsorted`` per object over the grid
-        instead of the ``(q, m)`` broadcast bisection — much faster
-        when ``q`` is small relative to the knot counts, e.g. the
-        breakpoint grids of the QUERY1/QUERY2 index builds.
-        """
-        ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
-        q = ts.size
-        m = self.num_objects
-        col = ts[:, None]
-        tc = np.clip(col, self.starts, self.ends)
-        located = np.empty((q, m), dtype=np.int64)
-        knot_times = self.knot_times
-        offsets = self.offsets
-        for i in range(m):
-            lo = offsets[i]
-            hi = offsets[i + 1]
-            # Largest knot index with time <= tc within the object's
-            # segment-left range — exactly _locate's selection.
-            piece = np.searchsorted(knot_times[lo:hi], tc[:, i], "right")
-            np.clip(piece + (lo - 1), lo, hi - 2, out=located[:, i])
-        cum = self._cumulative_clamped(tc, located)
         return np.where(
             col <= self.starts,
             0.0,
@@ -790,7 +721,7 @@ class PLFStore:
         """``g_i(t)`` for every object (0 outside each span): ``(m,)``."""
         t = float(t)
         tc = np.clip(t, self.starts, self.ends)
-        j = self._locate(tc)
+        j = self.csr_view()._locate(tc, 0, self.num_objects)
         t0 = self.knot_times[j]
         v0 = self.knot_values[j]
         w = (self.knot_values[j + 1] - v0) / (self.knot_times[j + 1] - t0)
@@ -815,22 +746,20 @@ class PLFStore:
         ``(q, m)`` footprint.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
-        q = ts.size
-        m = self.num_objects
-        out = np.empty((q, m), dtype=np.float64)
+        view = self.csr_view()
+        out = np.empty((ts.size, self.num_objects), dtype=np.float64)
         last_values = self.knot_values[self.offsets[1:] - 1]
-        step = max(1, _CHUNK_ELEMENTS // max(m, 1))
-        for lo_row in range(0, q, step):
-            chunk = ts[lo_row : lo_row + step, None]
+        for rows in row_chunks(ts.size, self.num_objects):
+            chunk = ts[rows, None]
             tc = np.clip(chunk, self.starts, self.ends)
-            j = self._locate(tc)
+            j = view.locate_many(ts[rows])
             t0 = self.knot_times[j]
             v0 = self.knot_values[j]
             w = (self.knot_values[j + 1] - v0) / (self.knot_times[j + 1] - t0)
             values = v0 + w * (tc - t0)
             values = np.where(chunk == self.ends, last_values, values)
             outside = (chunk < self.starts) | (chunk > self.ends)
-            out[lo_row : lo_row + step] = np.where(outside, 0.0, values)
+            out[rows] = np.where(outside, 0.0, values)
         return out
 
     def inverse_cumulative_many(self, targets: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -17,10 +18,10 @@ def workload_arrays(queries) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     array of ``(t1, t2, k)`` rows, a sequence of such tuples, a
     sequence of :class:`TopKQuery`, or an object exposing
     ``t1s``/``t2s``/``ks`` arrays (the workload sampler's batch).
-    Validation matches ``TopKQuery.__post_init__`` — reversed
-    intervals and ``k < 1`` raise :class:`InvalidQueryError` — so a
-    batch is rejected up front instead of failing mid-workload the way
-    a scalar loop would.
+    Validation matches ``TopKQuery.__post_init__`` — non-finite
+    times, reversed intervals and ``k < 1`` raise
+    :class:`InvalidQueryError` — so a batch is rejected up front
+    instead of failing mid-workload the way a scalar loop would.
     """
     if hasattr(queries, "t1s") and hasattr(queries, "ks"):
         t1s = np.asarray(queries.t1s, dtype=np.float64)
@@ -37,6 +38,10 @@ def workload_arrays(queries) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         ks = table[:, 2].astype(np.int64)
     if t1s.size != t2s.size or t1s.size != ks.size:
         raise InvalidQueryError("workload arrays must align")
+    # NaN compares False against everything, so it would pass the
+    # interval check below and come back as a NaN-scored "answer".
+    if not (np.isfinite(t1s).all() and np.isfinite(t2s).all()):
+        raise InvalidQueryError("query times must be finite")
     reversed_rows = np.flatnonzero(t2s < t1s)
     if reversed_rows.size:
         row = int(reversed_rows[0])
@@ -69,6 +74,10 @@ class TopKQuery:
     k: int
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.t1) and math.isfinite(self.t2)):
+            raise InvalidQueryError(
+                f"query times must be finite: [{self.t1}, {self.t2}]"
+            )
         if self.t2 < self.t1:
             raise InvalidQueryError(f"query interval reversed: [{self.t1}, {self.t2}]")
         if self.k < 1:

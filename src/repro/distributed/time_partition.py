@@ -324,7 +324,7 @@ class TimePartitionedCluster:
         self, t1s: np.ndarray, t2s: np.ndarray, ks: np.ndarray
     ) -> List[TopKResult]:
         from repro.approximate.toplists import top_k_rows
-        from repro.core.plfstore import _CHUNK_ELEMENTS
+        from repro.core.plfstore import row_chunks
 
         # Global answer columns (precomputed): the canonical top-k
         # order makes the column order irrelevant to answers;
@@ -336,10 +336,8 @@ class TimePartitionedCluster:
         # (block, m) coordinator matrices stay within a bounded
         # footprint (the scalar protocol peaks at O(m)); per-query
         # accumulation order and comm totals are block-invariant.
-        step = max(1, _CHUNK_ELEMENTS // max(int(columns.size), 1))
         results: List[TopKResult] = []
-        for block_lo in range(0, int(t1s.size), step):
-            block = slice(block_lo, block_lo + step)
+        for block in row_chunks(int(t1s.size), int(columns.size)):
             results.extend(
                 self._scatter_gather_block(
                     t1s[block], t2s[block], ks[block], columns, top_k_rows

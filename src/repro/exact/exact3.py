@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core.aggregates import SUM, Aggregate
 from repro.core.database import TemporalDatabase
-from repro.core.plfstore import _CHUNK_ELEMENTS, isin_sorted
+from repro.core.plfstore import isin_sorted, row_chunks
 from repro.core.queries import TopKQuery
 from repro.core.results import TopKResult, top_k_from_arrays
 from repro.exact.base import RankingMethod
@@ -55,15 +55,12 @@ def stab_cumulatives_many(view, ts: np.ndarray) -> np.ndarray:
     workers can run this without the full store.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
-    q = ts.size
     m = view.num_objects
     starts, ends, totals = view.starts, view.ends, view.totals
-    out = np.empty((q, m), dtype=np.float64)
-    step = max(1, _CHUNK_ELEMENTS // max(m, 1))
-    for lo_row in range(0, q, step):
-        col = ts[lo_row : lo_row + step, None]
-        tc = np.clip(col, starts, ends)
-        j = view.locate_grid(tc)
+    out = np.empty((ts.size, m), dtype=np.float64)
+    for rows in row_chunks(ts.size, m):
+        col = ts[rows, None]
+        j = view.locate_many(ts[rows])
         lo = view.knot_times[j]
         hi = view.knot_times[j + 1]
         v_lo = view.knot_values[j]
@@ -80,7 +77,7 @@ def stab_cumulatives_many(view, ts: np.ndarray) -> np.ndarray:
         # The scalar path fills stab-missed objects from the store
         # kernel, whose clamp yields exactly 0 / total outside the
         # span (non-knot t is never equal to a span endpoint).
-        out[lo_row : lo_row + step] = np.where(
+        out[rows] = np.where(
             col < starts, 0.0, np.where(col > ends, totals, cum)
         )
     return out

@@ -27,7 +27,7 @@ import numpy as np
 from repro.core import buildcount
 from repro.core.database import TemporalDatabase
 from repro.core.errors import IndexStateError, InvalidQueryError
-from repro.core.plfstore import _CHUNK_ELEMENTS, isin_sorted
+from repro.core.plfstore import isin_sorted, row_chunks
 from repro.core.results import TopKResult, top_k_from_arrays
 from repro.storage.device import BlockDevice
 from repro.storage.stats import IOStats
@@ -37,9 +37,13 @@ from repro.intervaltree.tree import ExternalIntervalTree
 _VALUE_COLUMNS = 3
 
 
-def _validate_instant_batch(ts: np.ndarray, ks: np.ndarray) -> None:
+def _validate_instant_batch(ts, ks) -> None:
+    """Reject a malformed instant workload (or one scalar ``(t, k)``)."""
+    ts, ks = np.asarray(ts), np.asarray(ks)
     if ts.size != ks.size:
         raise InvalidQueryError("instant workload arrays must align")
+    if not np.isfinite(ts).all():
+        raise InvalidQueryError("query times must be finite")
     if ks.size and int(ks.min()) < 1:
         raise InvalidQueryError("k must be >= 1")
 
@@ -64,8 +68,7 @@ class InstantBruteForce:
         """
         if self.database is None:
             raise IndexStateError("engine not built")
-        if k < 1:
-            raise InvalidQueryError("k must be >= 1")
+        _validate_instant_batch(t, k)
         if self.database.wants_store:
             store = self.database.store()
             return top_k_from_arrays(store.object_ids, store.values_at(t), k)
@@ -127,8 +130,7 @@ class InstantIntervalTree:
         """``top-k(t)`` via one stab: interpolate each returned segment."""
         if not self._built:
             raise IndexStateError("engine not built")
-        if k < 1:
-            raise InvalidQueryError("k must be >= 1")
+        _validate_instant_batch(t, k)
         rows = self.tree.stab(t)
         if rows.shape[0] == 0:
             return TopKResult()
@@ -193,11 +195,9 @@ class InstantIntervalTree:
         rts = ts[regular]
         k_eff = np.empty(rts.size, dtype=np.int64)
         value_chunks: List[np.ndarray] = []
-        step = max(1, _CHUNK_ELEMENTS // max(m, 1))
-        for lo_row in range(0, rts.size, step):
-            col = rts[lo_row : lo_row + step, None]
-            tc = np.clip(col, view.starts, view.ends)
-            j = view.locate_grid(tc)
+        for rows in row_chunks(rts.size, m):
+            col = rts[rows, None]
+            j = view.locate_many(rts[rows])
             lo = view.knot_times[j]
             hi = view.knot_times[j + 1]
             v_lo = view.knot_values[j]
@@ -212,9 +212,7 @@ class InstantIntervalTree:
             # clamped to the hit count so a pad is never selected.
             hit = (view.starts <= col) & (col <= view.ends)
             np.copyto(values, -np.inf, where=~hit)
-            k_eff[lo_row : lo_row + step] = np.minimum(
-                ks[regular[lo_row : lo_row + step]], hit.sum(axis=1)
-            )
+            k_eff[rows] = np.minimum(ks[regular[rows]], hit.sum(axis=1))
             value_chunks.append(values)
         matrix = value_chunks[0] if len(value_chunks) == 1 else np.vstack(value_chunks)
         answers = top_k_rows(self._object_ids, matrix, k_eff)

@@ -71,6 +71,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.errors import CoordinatorShutdown, DeadlineExceeded, ReproError
+from repro.core.queries import TopKQuery
 from repro.core.results import TopKResult
 from repro.serving.cache import ResultCache
 
@@ -409,13 +410,16 @@ class ServingCoordinator:
         """
         if self._flusher is None or self._closing:
             raise ReproError("coordinator is not running (use start())")
+        # Reject a bad triple here, to its caller alone: queued, it
+        # would raise inside the batch and fail every batch-mate.
+        query = TopKQuery(float(t1), float(t2), int(k))
         now = self._clock()
         self._observe_arrival(now)
         future: "asyncio.Future[TopKResult]" = (
             asyncio.get_running_loop().create_future()
         )
         self._queue.append(
-            _Request((float(t1), float(t2), int(k)), now, future)
+            _Request((query.t1, query.t2, query.k), now, future)
         )
         self.stats.requests += 1
         self._outstanding.add(future)

@@ -9,21 +9,19 @@ it as the public API — ``TemporalRankingEngine.snapshot(path)`` /
 of monolithic pickles.  The container format itself survives inside
 the snapshot tier (index state that is not a flat array still pickles)
 and for raw dataset files, via :func:`write_payload` /
-:func:`read_payload`; the old :func:`save_index` / :func:`load_index`
-names remain as thin deprecation shims.
+:func:`read_payload`.
 """
 
 from __future__ import annotations
 
 import io
 import pickle
-import warnings
 from pathlib import Path
 from typing import Any
 
 from repro.core.errors import PersistenceError
 
-__all__ = ["PersistenceError", "write_payload", "read_payload", "save_index", "load_index", "FORMAT_VERSION"]
+__all__ = ["PersistenceError", "write_payload", "read_payload", "FORMAT_VERSION"]
 
 #: Bump when on-disk layout changes incompatibly.
 FORMAT_VERSION = 1
@@ -59,30 +57,3 @@ def read_payload(path: str | Path) -> Any:
             f"{path} has format version {version}, expected {FORMAT_VERSION}"
         )
     return pickle.loads(raw[len(_MAGIC) + 2 :])
-
-
-def save_index(method: Any, path: str | Path) -> int:
-    """Deprecated alias of :func:`write_payload`.
-
-    Prefer ``TemporalRankingEngine.snapshot(path)`` (or a cluster's
-    ``snapshot``) for whole engines: snapshots are catalog-tracked,
-    checksummed, and mount zero-copy instead of unpickling arrays.
-    """
-    warnings.warn(
-        "save_index is deprecated; use TemporalRankingEngine.snapshot "
-        "(or write_payload for raw container files)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return write_payload(path, method)
-
-
-def load_index(path: str | Path) -> Any:
-    """Deprecated alias of :func:`read_payload` (see :func:`save_index`)."""
-    warnings.warn(
-        "load_index is deprecated; use repro.open "
-        "(or read_payload for raw container files)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return read_payload(path)

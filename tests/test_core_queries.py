@@ -24,6 +24,15 @@ class TestTopKQuery:
         with pytest.raises(InvalidQueryError):
             TopKQuery(0.0, 1.0, 0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_times(self, bad):
+        # ``t2 < t1`` is False for NaN, so the interval check alone
+        # would let these through to a NaN-scored answer.
+        with pytest.raises(InvalidQueryError):
+            TopKQuery(bad, 1.0, 3)
+        with pytest.raises(InvalidQueryError):
+            TopKQuery(0.0, bad, 3)
+
     def test_frozen(self):
         q = TopKQuery(0.0, 1.0, 1)
         with pytest.raises(AttributeError):

@@ -77,6 +77,14 @@ class TestMechanics:
             with pytest.raises(InvalidQueryError):
                 engine.query(10.0, 0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_time_rejected(self, engines, bad):
+        for engine in engines:
+            with pytest.raises(InvalidQueryError):
+                engine.query(bad, 3)
+            with pytest.raises(InvalidQueryError):
+                engine.query_many(np.asarray([10.0, bad]), np.asarray([3, 3]))
+
     def test_io_counted(self, db, engines):
         _, tree = engines
         tree.io_stats.reset()

@@ -9,8 +9,8 @@ from repro.approximate import Appx2
 from repro.storage.persistence import (
     FORMAT_VERSION,
     PersistenceError,
-    load_index,
-    save_index,
+    read_payload,
+    write_payload,
 )
 
 from _support import make_random_database
@@ -21,9 +21,9 @@ class TestPersistence:
         db = make_random_database(num_objects=15, avg_segments=10, seed=70)
         method = Exact3().build(db)
         path = tmp_path / "exact3.idx"
-        written = save_index(method, path)
+        written = write_payload(path, method)
         assert written > 0
-        loaded = load_index(path)
+        loaded = read_payload(path)
         q = TopKQuery(10, 80, 5)
         assert loaded.query(q).object_ids == method.query(q).object_ids
 
@@ -31,8 +31,8 @@ class TestPersistence:
         db = make_random_database(num_objects=15, avg_segments=10, seed=71)
         method = Appx2(epsilon=0.01, kmax=10).build(db)
         path = tmp_path / "appx2.idx"
-        save_index(method, path)
-        loaded = load_index(path)
+        write_payload(path, method)
+        loaded = read_payload(path)
         q = TopKQuery(10, 80, 5)
         assert loaded.query(q).object_ids == method.query(q).object_ids
         assert loaded.breakpoints.r == method.breakpoints.r
@@ -41,42 +41,26 @@ class TestPersistence:
         path = tmp_path / "junk.idx"
         path.write_bytes(b"not an index at all")
         with pytest.raises(PersistenceError):
-            load_index(path)
+            read_payload(path)
 
     def test_rejects_wrong_version(self, tmp_path):
         path = tmp_path / "old.idx"
         payload = b"REPRO-IDX" + (FORMAT_VERSION + 1).to_bytes(2, "big") + b"x"
         path.write_bytes(payload)
         with pytest.raises(PersistenceError):
-            load_index(path)
+            read_payload(path)
 
     def test_database_round_trip(self, tmp_path):
         db = make_random_database(num_objects=8, avg_segments=6, seed=72)
         path = tmp_path / "db.bin"
-        save_index(db, path)
-        loaded = load_index(path)
+        write_payload(path, db)
+        loaded = read_payload(path)
         assert loaded.num_objects == db.num_objects
         assert loaded.total_mass == pytest.approx(db.total_mass)
-
-
-class TestDeprecationShims:
-    def test_save_load_shims_warn_and_round_trip(self, tmp_path):
-        db = make_random_database(num_objects=10, avg_segments=8, seed=73)
-        method = Exact3().build(db)
-        path = tmp_path / "shim.idx"
-        with pytest.warns(DeprecationWarning, match="save_index is deprecated"):
-            written = save_index(method, path)
-        assert written > 0
-        with pytest.warns(DeprecationWarning, match="load_index is deprecated"):
-            loaded = load_index(path)
-        q = TopKQuery(10, 80, 5)
-        assert loaded.query(q).object_ids == method.query(q).object_ids
 
     def test_canonical_payload_functions_do_not_warn(
         self, tmp_path, recwarn
     ):
-        from repro.storage.persistence import read_payload, write_payload
-
         db = make_random_database(num_objects=6, avg_segments=5, seed=74)
         path = tmp_path / "payload.bin"
         write_payload(path, db)
@@ -86,20 +70,6 @@ class TestDeprecationShims:
             w for w in recwarn.list if w.category is DeprecationWarning
         ]
         assert deprecations == []
-
-    def test_shims_share_the_canonical_container(self, tmp_path):
-        # A file written by the shim opens through the new name (and
-        # vice versa): the shims are aliases, not a parallel format.
-        from repro.storage.persistence import read_payload, write_payload
-
-        db = make_random_database(num_objects=6, avg_segments=5, seed=75)
-        path = tmp_path / "either.bin"
-        with pytest.warns(DeprecationWarning):
-            save_index(db, path)
-        assert read_payload(path).num_objects == db.num_objects
-        write_payload(path, db)
-        with pytest.warns(DeprecationWarning):
-            assert load_index(path).num_objects == db.num_objects
 
 
 class TestCli:

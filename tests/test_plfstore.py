@@ -6,13 +6,19 @@ on it — breakpoint sweeps — and to 1e-9 everywhere else).  Databases
 are randomized, include negative scores, and are padded, per the ISSUE.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import PiecewiseLinearFunction, PLFStore, TemporalObject
 from repro.core.errors import ReproError
+from repro.storage.segments import write_store_segment
 
 from _support import make_random_database, random_intervals
+from test_properties import plf_strategy
 
 
 @pytest.fixture(scope="module", params=[False, True], ids=["positive", "negative"])
@@ -58,6 +64,62 @@ class TestCumulative:
         full = store.cumulative_at_many(ts)
         monkeypatch.setattr(mod, "_CHUNK_ELEMENTS", db.num_objects * 3)
         assert np.array_equal(store.cumulative_at_many(ts), full)
+
+
+@st.composite
+def store_and_grid(draw):
+    """An unpadded store (uneven knot counts, single-segment objects,
+    unaligned spans) and an adversarial time grid over it: exact knot
+    times, span endpoints, out-of-span times, duplicates, q = 1..40."""
+    functions = draw(
+        st.lists(
+            plf_strategy(min_knots=2, max_knots=9, nonnegative=False),
+            min_size=1,
+            max_size=7,
+        )
+    )
+    knots = np.concatenate([fn.times for fn in functions]).tolist()
+    times = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from(knots),
+                st.floats(-10.0, 110.0, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=32,
+        )
+    )
+    times += draw(st.lists(st.sampled_from(times), max_size=8))
+    return PLFStore(functions), np.asarray(times, dtype=np.float64)
+
+
+class TestGridLocationKernel:
+    """The one time-grid piece-location kernel against its definition."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(store_and_grid())
+    def test_grid_kernel_matches_per_object_reference(self, case):
+        built, ts = case
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "store.seg"
+            write_store_segment(path, built)
+            for store in (built, PLFStore.from_segments(path)):
+                view = store.csr_view()
+                bounds = store.offsets.tolist()
+                reference = np.empty((ts.size, store.num_objects), np.int64)
+                for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+                    piece = np.searchsorted(
+                        store.knot_times[lo:hi], ts, "right"
+                    ) - 1
+                    reference[:, i] = np.clip(piece + lo, lo, hi - 2)
+                assert np.array_equal(view.locate_many(ts), reference)
+                clamped = np.clip(ts[:, None], view.starts, view.ends)
+                assert np.array_equal(view.locate_grid(clamped), reference)
+                cums = store.cumulative_at_many(ts)
+                values = store.values_at_many(ts)
+                for row, t in enumerate(ts):
+                    assert np.array_equal(cums[row], store.cumulative_at(t))
+                    assert np.array_equal(values[row], store.values_at(t))
 
 
 class TestIntegrals:

@@ -172,8 +172,8 @@ def test_instant_engines_query_many(db):
         assert all(a == b for a, b in zip(expected, got))
 
 
-def test_instant_tree_io_counts_match(db):
-    ts, ks = sample_instant_workload(db, count=50, kmax=KMAX, seed=6)
+def assert_instant_tree_equals_scalar(db, seed):
+    ts, ks = sample_instant_workload(db, count=50, kmax=KMAX, seed=seed)
     engine = InstantIntervalTree().build(db)
     before = engine.io_stats.snapshot()
     expected = [engine.query(float(t), int(k)) for t, k in zip(ts, ks)]
@@ -183,6 +183,25 @@ def test_instant_tree_io_counts_match(db):
     batched = engine.io_stats.snapshot() - before
     assert all(a == b for a, b in zip(expected, got))
     assert scalar.reads == batched.reads
+
+
+def test_instant_tree_io_counts_match(db):
+    assert_instant_tree_equals_scalar(db, seed=6)
+
+
+# ----------------------------------------------------------------------
+# chunking is invisible
+# ----------------------------------------------------------------------
+def test_forced_row_chunks_match_scalar(db, monkeypatch):
+    """Under a 3-row chunk cap, EXACT3 and the instant tree still
+    reproduce the scalar loop: answers and IO charges, bit for bit."""
+    import repro.core.plfstore as plfstore
+
+    monkeypatch.setattr(plfstore, "_CHUNK_ELEMENTS", db.num_objects * 3)
+    assert len(plfstore.row_chunks(64, db.num_objects)) == 22
+    method = Exact3().build(db)
+    assert_batch_equals_scalar(method, *tricky_workload(db, method))
+    assert_instant_tree_equals_scalar(db, seed=5)
 
 
 # ----------------------------------------------------------------------
@@ -343,6 +362,18 @@ def test_workload_arrays_validation():
         workload_arrays(np.asarray([[2.0, 1.0, 3.0]]))
     with pytest.raises(InvalidQueryError):
         workload_arrays(np.asarray([[1.0, 2.0, 0.0]]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidQueryError):
+            workload_arrays(np.asarray([[1.0, 2.0, 3.0], [bad, 2.0, 3.0]]))
+        with pytest.raises(InvalidQueryError):
+            workload_arrays(np.asarray([[1.0, bad, 3.0]]))
+
+
+@pytest.mark.parametrize("cls", [Appx2Plus, Exact2, Exact3])
+def test_query_many_rejects_non_finite_times(db, cls):
+    method = (cls(r=12, kmax=KMAX) if cls is Appx2Plus else cls()).build(db)
+    with pytest.raises(InvalidQueryError):
+        method.query_many(np.asarray([[1.0, 9.0, 3.0], [np.nan, 9.0, 3.0]]))
 
 
 def test_query_many_rejects_k_above_kmax(db):

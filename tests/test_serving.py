@@ -15,7 +15,7 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.core.errors import ReproError
+from repro.core.errors import InvalidQueryError, ReproError
 from repro.datasets import (
     sample_poisson_arrivals,
     sample_workload,
@@ -257,6 +257,45 @@ def test_coordinator_rejects_requests_when_stopped(db, engine):
             await coordinator.top_k(t1, t2, 3)
 
     asyncio.run(main())
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        pytest.param(lambda t1, t2: (t2, t1, 3), id="reversed"),
+        pytest.param(lambda t1, t2: (t1, t2, 0), id="k0"),
+        pytest.param(lambda t1, t2: (float("nan"), t2, 3), id="nan"),
+        pytest.param(lambda t1, t2: (t1, float("inf"), 3), id="inf"),
+    ],
+)
+def test_invalid_request_fails_alone(db, engine, bad):
+    """A malformed triple is rejected on arrival, to its caller only:
+    the valid requests sharing its flush are all answered."""
+    backend = EngineBackend(engine)
+    batch = sample_workload(db, count=3, kmax=KMAX, seed=17)
+    direct = backend.serve_many(batch.t1s, batch.t2s, batch.ks)
+
+    async def main():
+        coordinator = ServingCoordinator(
+            backend, max_batch=64, min_batch=4, max_delay=0.01,
+            adaptive=False,
+        )
+        async with coordinator:
+            outcomes = await asyncio.gather(
+                *[
+                    coordinator.top_k(float(a), float(b), int(k))
+                    for a, b, k in zip(batch.t1s, batch.t2s, batch.ks)
+                ],
+                coordinator.top_k(*bad(*db.span)),
+                return_exceptions=True,
+            )
+        return coordinator, outcomes
+
+    coordinator, outcomes = asyncio.run(main())
+    assert outcomes[:3] == direct
+    assert isinstance(outcomes[3], InvalidQueryError)
+    assert coordinator.stats.requests == 3
+    assert coordinator.stats.failed == 0
 
 
 # ----------------------------------------------------------------------
