@@ -1,56 +1,46 @@
-"""Shared regression-gate arithmetic for the committed BENCH baselines.
+"""The one regression gate for the committed ``BENCH_*.json`` baselines.
 
-Both bench scripts (``scripts/bench_build.py``, ``scripts/bench_kernel.
-py``) gate CI on trajectory entries committed in ``BENCH_*.json``.
-The comparison rules live here, once:
+``scripts/bench.py <suite> --baseline FILE`` gates CI through
+:func:`check_baseline`.  The comparison rules live here, once:
 
 * wall-clock keys are gated only above a noise floor (tiny timings
   are scheduler noise, not signal),
 * speedup-ratio keys are always gated — ratios compare two paths
-  within one run, so they normalize away how fast the recording
-  machine was,
+  within one run, so they normalize away the recording machine,
 * a run regresses when a timing grows, or a ratio shrinks, by more
-  than ``max_regression`` x.
+  than ``max_regression`` x; keys absent on either side are skipped.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import platform
+import sys
 from typing import Dict, List, Optional, Sequence
 
 #: Baseline timings below this are dominated by scheduler noise and
 #: are not gated by the wall-clock regression check.
 GATE_FLOOR_SECONDS = 0.05
 
+#: :func:`check_baseline` exit codes.  An unmatched config gets its own
+#: code so a CI step whose flags drifted from the recorded config reads
+#: differently from a real regression.
+GATE_OK, GATE_REGRESSED, GATE_NO_BASELINE = 0, 1, 2
+
 
 def host_metadata() -> dict:
     """Host facts recorded beside every BENCH trajectory entry.
 
     Kept out of ``config`` (baseline matching is on the
-    machine-independent workload shape) but always stored, so
-    pool-overhead-only points from low-core hosts — the PR 3 1-core
-    caveat — stay distinguishable in the trajectory.
+    machine-independent workload shape) but always stored, so points
+    from different machines stay distinguishable in the trajectory.
     """
     return {
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),
         "python": platform.python_version(),
     }
-
-
-def single_core_host(host: Optional[dict] = None) -> bool:
-    """True when the host (recorded or current) has a single core.
-
-    Parallel bench points on such hosts measure executor pool
-    overhead, not fan-out speedup, so gates must skip (and flag) them
-    rather than silently hold future runs to an overhead measurement
-    — the PR 3 caveat made explicit.  Pass a recorded ``host`` block
-    from a trajectory entry to test the baseline's machine; default is
-    the current host.
-    """
-    meta = host if host is not None else host_metadata()
-    return int(meta.get("cpu_count") or 1) < 2
 
 
 def find_baseline_entry(
@@ -100,3 +90,40 @@ def compare_results(
                 f"{base[key]:.2f}x (lost > {max_regression}x)"
             )
     return failures
+
+
+def check_baseline(
+    report: dict, history, suite, max_regression: float = 2.0
+) -> int:
+    """Gate ``report`` on its committed baseline; the process exit code.
+
+    ``history`` is a loaded ``BENCH_<suite>.json`` list; the newest
+    entry with the run's ``config`` is the baseline (none is a failure,
+    not a skip) and points pair up by ``label``.  ``suite`` is read for
+    ``gated_keys`` / ``gated_ratios``.  Failure lines go to stderr.
+    """
+    baseline = find_baseline_entry(history, report["config"])
+    if baseline is None:
+        recorded = "\n  ".join(
+            json.dumps(entry.get("config"), sort_keys=True)
+            for entry in history
+        )
+        print(
+            "NO BASELINE: no committed entry has this run's config "
+            f"{json.dumps(report['config'], sort_keys=True)}; "
+            f"recorded:\n  {recorded}",
+            file=sys.stderr,
+        )
+        return GATE_NO_BASELINE
+    base_points = {point["label"]: point for point in baseline["results"]}
+    failures: List[str] = []
+    for point in report["results"]:
+        if point["label"] in base_points:
+            failures += compare_results(
+                base_points[point["label"]], point,
+                suite.gated_keys, suite.gated_ratios, max_regression,
+                label=f"{point['label']} ",
+            )
+    for line in failures:
+        print(f"REGRESSION: {line}", file=sys.stderr)
+    return GATE_REGRESSED if failures else GATE_OK

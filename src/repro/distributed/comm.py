@@ -52,9 +52,8 @@ class RoundRecord:
     Beyond the totals, the TA's two access kinds are tracked
     separately — ``sorted_*`` for sorted-access batches, ``random_*``
     for random-access probes — so the comm bill of a threshold run is
-    attributable per mechanism (surfaced by
-    ``scripts/bench_distributed.py``).  Records written through the
-    plain :meth:`CommStats.record` path leave the split fields at 0.
+    attributable per mechanism.  Records written through the plain
+    :meth:`CommStats.record` path leave the split fields at 0.
     """
 
     messages: int = 0

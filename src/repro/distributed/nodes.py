@@ -103,14 +103,6 @@ class StorageNode:
             self._ta_index = TANodeIndex(self.database.store())
         return self._ta_index
 
-    def reset_ta_index(self) -> None:
-        """Drop the TA index's cached streams (cold-start benchmarks).
-
-        Purely a perf event: rebuilt prefix lists are canonical, so
-        results never change.
-        """
-        self._ta_index = None
-
     @property
     def view(self) -> CSRView:
         """The shard's picklable CSR kernel slice (cached on the store)."""

@@ -128,9 +128,7 @@ class TemporalRankingEngine:
         """Batched :meth:`instant_top_k` over ``(ts, ks)`` arrays."""
         if self._instant is None:
             self._instant = InstantIntervalTree().build(self.database)
-        return self._instant.query_many(
-            np.asarray(ts, dtype=np.float64), np.asarray(ks, dtype=np.int64)
-        )
+        return self._instant.query_many(np.asarray(ts, dtype=np.float64), ks)
 
     def prepare(
         self, approximate: bool = False, instant: bool = False

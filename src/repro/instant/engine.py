@@ -28,6 +28,7 @@ from repro.core import buildcount
 from repro.core.database import TemporalDatabase
 from repro.core.errors import IndexStateError, InvalidQueryError
 from repro.core.plfstore import isin_sorted, row_chunks
+from repro.core.queries import integral_ks
 from repro.core.results import TopKResult, top_k_from_arrays
 from repro.storage.device import BlockDevice
 from repro.storage.stats import IOStats
@@ -37,15 +38,17 @@ from repro.intervaltree.tree import ExternalIntervalTree
 _VALUE_COLUMNS = 3
 
 
-def _validate_instant_batch(ts, ks) -> None:
-    """Reject a malformed instant workload (or one scalar ``(t, k)``)."""
-    ts, ks = np.asarray(ts), np.asarray(ks)
+def _validate_instant_batch(ts, ks) -> np.ndarray:
+    """Reject a malformed instant workload (or one scalar ``(t, k)``);
+    returns ``ks`` as int64 (non-integral ``k`` rejected, not truncated)."""
+    ts, ks = np.asarray(ts), integral_ks(ks)
     if ts.size != ks.size:
         raise InvalidQueryError("instant workload arrays must align")
     if not np.isfinite(ts).all():
         raise InvalidQueryError("query times must be finite")
     if ks.size and int(ks.min()) < 1:
         raise InvalidQueryError("k must be >= 1")
+    return ks
 
 
 class InstantBruteForce:
@@ -68,7 +71,7 @@ class InstantBruteForce:
         """
         if self.database is None:
             raise IndexStateError("engine not built")
-        _validate_instant_batch(t, k)
+        k = int(_validate_instant_batch(t, k))
         if self.database.wants_store:
             store = self.database.store()
             return top_k_from_arrays(store.object_ids, store.values_at(t), k)
@@ -91,8 +94,7 @@ class InstantBruteForce:
         if self.database is None:
             raise IndexStateError("engine not built")
         ts = np.asarray(ts, dtype=np.float64)
-        ks = np.asarray(ks, dtype=np.int64)
-        _validate_instant_batch(ts, ks)
+        ks = _validate_instant_batch(ts, ks)
         if not self.database.wants_store:
             return [self.query(float(t), int(k)) for t, k in zip(ts, ks)]
         store = self.database.store()
@@ -130,7 +132,7 @@ class InstantIntervalTree:
         """``top-k(t)`` via one stab: interpolate each returned segment."""
         if not self._built:
             raise IndexStateError("engine not built")
-        _validate_instant_batch(t, k)
+        k = int(_validate_instant_batch(t, k))
         rows = self.tree.stab(t)
         if rows.shape[0] == 0:
             return TopKResult()
@@ -161,8 +163,7 @@ class InstantIntervalTree:
         if not self._built:
             raise IndexStateError("engine not built")
         ts = np.asarray(ts, dtype=np.float64)
-        ks = np.asarray(ks, dtype=np.int64)
-        _validate_instant_batch(ts, ks)
+        ks = _validate_instant_batch(ts, ks)
         store = getattr(self, "_store", None)
         if store is None or self.tree.has_overflow:
             return [self.query(float(t), int(k)) for t, k in zip(ts, ks)]

@@ -17,8 +17,8 @@ answer stays bit-identical to a direct ``query_many`` call.
 * :class:`ResultCache` — the epoch-guarded answer cache (stale hits
   impossible by construction).
 * :mod:`~repro.serving.loadgen` — seeded open-loop Poisson load
-  generation and the batch=1 baseline client, feeding
-  ``scripts/bench_serving.py``.
+  generation and the batch=1 baseline client, behind ``repro
+  loadgen``.
 """
 
 from repro.serving.backends import (

@@ -412,7 +412,7 @@ class ServingCoordinator:
             raise ReproError("coordinator is not running (use start())")
         # Reject a bad triple here, to its caller alone: queued, it
         # would raise inside the batch and fail every batch-mate.
-        query = TopKQuery(float(t1), float(t2), int(k))
+        query = TopKQuery(float(t1), float(t2), k)
         now = self._clock()
         self._observe_arrival(now)
         future: "asyncio.Future[TopKResult]" = (

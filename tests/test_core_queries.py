@@ -21,8 +21,17 @@ class TestTopKQuery:
             TopKQuery(5.0, 1.0, 3)
 
     def test_rejects_bad_k(self):
-        with pytest.raises(InvalidQueryError):
-            TopKQuery(0.0, 1.0, 0)
+        # Non-integral k used to pass here and be truncated (batched)
+        # or escape as a numpy TypeError (scalar) further down.
+        for bad in (0, 2.5, float("nan"), float("inf"), None, "3"):
+            with pytest.raises(InvalidQueryError):
+                TopKQuery(0.0, 1.0, bad)
+
+    @pytest.mark.parametrize("k", [3, 3.0, np.int64(3), np.float64(3.0)])
+    def test_integral_k_is_stored_as_int(self, k):
+        # ``k=3.0`` must slice and partition downstream exactly like 3.
+        q = TopKQuery(0.0, 1.0, k)
+        assert q.k == 3 and type(q.k) is int
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite_times(self, bad):

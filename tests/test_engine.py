@@ -57,6 +57,33 @@ def test_kmax_validation(engine):
     assert len(engine.top_k(0.0, 50.0, 13)) > 0
 
 
+def test_non_integral_k_rejected_at_every_entry_point(engine):
+    """k=2.5 used to escape as a numpy TypeError (scalar) or be
+    truncated to k=2 (batched, instant); integral floats stay valid."""
+    for bad in (2.5, float("nan"), float("inf")):
+        for approximate in (False, True):
+            with pytest.raises(InvalidQueryError):
+                engine.top_k(10.0, 60.0, bad, approximate=approximate)
+            with pytest.raises(InvalidQueryError):
+                engine.top_k_many(
+                    ([10.0], [60.0], [bad]), approximate=approximate
+                )
+        with pytest.raises(InvalidQueryError):
+            engine.instant_top_k(42.0, bad)
+        with pytest.raises(InvalidQueryError):
+            engine.instant_top_k_many([42.0], [bad])
+    want = engine.top_k(10.0, 60.0, 3)
+    for good in (3.0, np.int64(3)):
+        assert engine.top_k(10.0, 60.0, good) == want
+        assert engine.top_k(10.0, 60.0, good, approximate=True) == (
+            engine.top_k(10.0, 60.0, 3, approximate=True)
+        )
+        assert engine.top_k_many(([10.0], [60.0], [good])) == [want]
+        assert engine.instant_top_k_many([42.0], [good]) == [
+            engine.instant_top_k(42.0, 3)
+        ]
+
+
 def test_top_k_many_matches_scalar(engine, db):
     batch = sample_workload(db, count=40, kmax=12, seed=2)
     for approximate in (False, True):

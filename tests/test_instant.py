@@ -76,6 +76,15 @@ class TestMechanics:
         for engine in engines:
             with pytest.raises(InvalidQueryError):
                 engine.query(10.0, 0)
+            # Non-integral k: rejected, never truncated to k=1 / k=2.
+            for bad in (1.5, float("nan"), float("inf")):
+                with pytest.raises(InvalidQueryError):
+                    engine.query(10.0, bad)
+                with pytest.raises(InvalidQueryError):
+                    engine.query_many(np.asarray([10.0, 20.0]), [3, bad])
+            want = engine.query(10.0, 3)
+            assert engine.query(10.0, 3.0) == want
+            assert engine.query_many([10.0], [np.float64(3.0)]) == [want]
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_time_rejected(self, engines, bad):

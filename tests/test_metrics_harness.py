@@ -1,5 +1,11 @@
 """Tests for benchmark metrics, harness, and reporting."""
 
+import copy
+import importlib.util
+import json
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -165,13 +171,153 @@ class TestBenchGating:
             base, current, ("slow_s", "missing"), ("speedup",), 2.0
         )
 
-    def test_single_core_host_reads_recorded_and_current_metadata(self):
-        from repro.bench.gating import host_metadata, single_core_host
 
-        assert single_core_host({"cpu_count": 1})
-        assert single_core_host({})  # missing count: assume 1-core
-        assert single_core_host({"cpu_count": None})
-        assert not single_core_host({"cpu_count": 8})
-        # The current-host default agrees with host_metadata().
-        meta = host_metadata()
-        assert single_core_host() == (int(meta["cpu_count"] or 1) < 2)
+@pytest.fixture(scope="module")
+def bench():
+    """``scripts/bench.py`` as a module (it is a script, not a package)."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "bench.py"
+    spec = importlib.util.spec_from_file_location("scripts_bench", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+#: One in-process run per suite, far below even ``--smoke``.
+TINY = {
+    "kernel": ["--queries", "2", "--r", "6", "--repeats", "1"],
+    "build": ["--r-list", "8", "--kmax", "5", "--repeats", "1",
+              "--workers", "2"],
+    "chaos": ["--nodes", "2", "--batch", "6", "--qk", "3"],
+}
+
+
+class TestCheckBaseline:
+    """The one gate: ``check_baseline(report, history, suite)``."""
+
+    @staticmethod
+    def _report(**config):
+        points = [
+            {"label": "r=8", "query1_batched_s": 1.0, "query1_speedup": 4.0},
+            {"label": "r=16", "query1_batched_s": 2.0, "query1_speedup": 6.0},
+        ]
+        return {"bench": "build", "config": config, "results": points}
+
+    def test_identical_baseline_passes_doctored_fails(self, bench, capsys):
+        from repro.bench.gating import (
+            GATE_OK, GATE_REGRESSED, check_baseline,
+        )
+
+        suite = bench.SUITES["build"]
+        report = self._report(m=10)
+        history = [copy.deepcopy(report)]
+        assert check_baseline(report, history, suite) == GATE_OK
+        # The committed point was twice as fast / twice the ratio.
+        history[0]["results"][1]["query1_batched_s"] /= 2.5
+        history[0]["results"][1]["query1_speedup"] *= 2.5
+        assert check_baseline(report, history, suite) == GATE_REGRESSED
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        assert all(line.startswith("REGRESSION: r=16 ") for line in lines)
+        assert check_baseline(report, history, suite, 3.0) == GATE_OK
+
+    def test_points_are_matched_by_label_not_position(self, bench):
+        from repro.bench.gating import GATE_OK, check_baseline
+
+        suite = bench.SUITES["build"]
+        report = self._report(m=10)
+        baseline = copy.deepcopy(report)
+        # Reversed order plus a label this run does not have: a
+        # positional pairing would compare r=8 against r=16 and fail.
+        baseline["results"].reverse()
+        baseline["results"].append(
+            {"label": "r=32", "query1_batched_s": 1e-3, "query1_speedup": 99.0}
+        )
+        assert check_baseline(report, baseline, suite) == GATE_OK
+
+    def test_unmatched_config_is_a_failure(self, bench, capsys):
+        from repro.bench.gating import GATE_NO_BASELINE, check_baseline
+
+        suite = bench.SUITES["build"]
+        history = [self._report(m=10), self._report(m=20)]
+        code = check_baseline(self._report(m=99), history, suite)
+        assert code == GATE_NO_BASELINE
+        err = capsys.readouterr().err
+        # Names the run's config and every recorded one.
+        assert '{"m": 99}' in err
+        assert '{"m": 10}' in err and '{"m": 20}' in err
+
+    def test_drifted_flags_fail_the_command(self, bench, tmp_path, capsys):
+        """``--baseline`` with no matching entry exits 2, not 0."""
+        from repro.bench.gating import GATE_NO_BASELINE
+
+        tiny = ["kernel", "--m", "40", "--navg", "8", *TINY["kernel"]]
+        path = tmp_path / "BENCH_kernel.json"
+        path.write_text(json.dumps([{"config": {"m": 41}, "results": []}]))
+        assert bench.main([*tiny, "--baseline", str(path)]) == (
+            GATE_NO_BASELINE
+        )
+        assert "NO BASELINE" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(TINY))
+    def test_every_gated_key_is_measured(self, bench, name):
+        """``compare_results`` skips keys missing on either side, so a
+        renamed metric would silently fall out of the gate: every
+        registered key must show up in the suite's own report."""
+        args = bench.parse_args([name, "--m", "40", "--navg", "8", *TINY[name]])
+        report = bench.run_suite(name, args)
+        assert sorted(report) == [
+            "bench", "config", "git_sha", "host", "results",
+        ]
+        assert report["bench"] == name
+        assert report["host"]["cpu_count"] == os.cpu_count()
+        labels = [point["label"] for point in report["results"]]
+        assert labels and len(set(labels)) == len(labels)
+        suite = bench.SUITES[name]
+        measured = set().union(*report["results"])
+        for key in suite.gated_keys + suite.gated_ratios:
+            # Fan-out keys exist only where the host has the cores.
+            if "parallel" in key and os.cpu_count() < args.workers:
+                assert key not in measured
+            else:
+                assert key in measured, f"{name}: {key} is gated, not measured"
+
+    def test_fanout_is_left_out_when_the_host_lacks_the_cores(
+        self, bench, monkeypatch
+    ):
+        """Decided at measurement time: a 1-core host reports no
+        fan-out point at all (nothing to skip-and-flag in the gate)."""
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: 1)
+        args = bench.parse_args(
+            ["build", "--m", "40", "--navg", "8", *TINY["build"]]
+        )
+        _, points = bench.run_build(args)
+        assert not [key for key in points[0] if "parallel" in key]
+        assert "query1_batched_s" in points[0]
+
+    def test_smoke_config_is_fixed(self, bench):
+        for name, suite in bench.SUITES.items():
+            args = bench.parse_args([name, "--smoke", "--m", "7"])
+            assert args.smoke
+            for key, value in suite.smoke.items():
+                assert getattr(args, key) == value
+
+    def test_chaos_contract_fails_a_doctored_run(self, bench):
+        args = bench.parse_args(["chaos", "--rates", "0,0.2"])
+        clean = [
+            {"label": "object/rate=0", "rate": 0.0, "recall": 1.0,
+             "silent_divergence": 0},
+            {"label": "object/rate=0.2", "rate": 0.2, "recall": 0.6,
+             "silent_divergence": 0},
+        ]
+        contract = bench.SUITES["chaos"].contract
+        assert contract(clean, args) == []
+        for index, doctored, needle in (
+            (1, {"silent_divergence": 1}, "without a degraded flag"),
+            (0, {"recall": 0.98}, "< 1.0"),
+            (1, {"recall": 0.4}, "below the 0.5 floor"),
+        ):
+            points = [dict(point) for point in clean]
+            points[index].update(doctored)
+            failures = contract(points, args)
+            assert len(failures) == 1 and needle in failures[0]
+            assert failures[0].startswith(points[index]["label"])

@@ -24,6 +24,7 @@ from repro.btree.tree import BPlusTree
 from repro.core.errors import InvalidQueryError
 from repro.core.queries import TopKQuery, workload_arrays
 from repro.datasets import sample_instant_workload, sample_workload
+from repro.datasets.workload import WorkloadBatch
 from repro.exact import Exact2, Exact3
 from repro.instant.engine import InstantBruteForce, InstantIntervalTree
 from repro.parallel import get_executor
@@ -367,6 +368,22 @@ def test_workload_arrays_validation():
             workload_arrays(np.asarray([[1.0, 2.0, 3.0], [bad, 2.0, 3.0]]))
         with pytest.raises(InvalidQueryError):
             workload_arrays(np.asarray([[1.0, bad, 3.0]]))
+    # A non-integral k is rejected in every input shape, not truncated.
+    for bad in (2.7, np.nan, np.inf):
+        with pytest.raises(InvalidQueryError):
+            workload_arrays(np.asarray([[1.0, 2.0, 3.0], [1.0, 2.0, bad]]))
+        with pytest.raises(InvalidQueryError):
+            workload_arrays([(1.0, 2.0, 3), (1.0, 2.0, bad)])
+        with pytest.raises(InvalidQueryError):
+            workload_arrays(
+                WorkloadBatch(
+                    np.asarray([1.0]), np.asarray([2.0]), np.asarray([bad])
+                )
+            )
+    for good in (np.asarray([3.0]), np.asarray([3], dtype=np.int32)):
+        batch = WorkloadBatch(np.asarray([1.0]), np.asarray([2.0]), good)
+        ks = workload_arrays(batch)[2]
+        assert ks.dtype == np.int64 and ks.tolist() == [3]
 
 
 @pytest.mark.parametrize("cls", [Appx2Plus, Exact2, Exact3])
@@ -374,6 +391,8 @@ def test_query_many_rejects_non_finite_times(db, cls):
     method = (cls(r=12, kmax=KMAX) if cls is Appx2Plus else cls()).build(db)
     with pytest.raises(InvalidQueryError):
         method.query_many(np.asarray([[1.0, 9.0, 3.0], [np.nan, 9.0, 3.0]]))
+    with pytest.raises(InvalidQueryError):
+        method.query_many(np.asarray([[1.0, 9.0, 3.0], [1.0, 9.0, 2.5]]))
 
 
 def test_query_many_rejects_k_above_kmax(db):

@@ -266,6 +266,8 @@ def test_coordinator_rejects_requests_when_stopped(db, engine):
         pytest.param(lambda t1, t2: (t1, t2, 0), id="k0"),
         pytest.param(lambda t1, t2: (float("nan"), t2, 3), id="nan"),
         pytest.param(lambda t1, t2: (t1, float("inf"), 3), id="inf"),
+        pytest.param(lambda t1, t2: (t1, t2, 2.5), id="k2.5"),
+        pytest.param(lambda t1, t2: (t1, t2, float("nan")), id="knan"),
     ],
 )
 def test_invalid_request_fails_alone(db, engine, bad):
