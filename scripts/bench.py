@@ -10,8 +10,9 @@ cover, each on a generated Temp-like database:
   BREAKPOINTS1, and BREAKPOINTS2 by the paper's efficient sweep vs the
   kernel-batched reset baseline;
 * ``build``  — per breakpoint budget ``r``: QUERY1 / QUERY2 /
-  BREAKPOINTS2 builds, scalar vs batched vs fanned out over
-  ``--workers`` processes;
+  BREAKPOINTS2 builds, scalar vs batched, and the QUERY1 build fanned
+  out over ``--workers`` threads; plus a 64-row EXACT3 ``top_k_many``
+  inline vs fanned out (the ``q=64`` point);
 * ``chaos``  — replicated object- and time-partitioned clusters served
   query by query at a sweep of per-call fault rates (transient rate
   ``x``, permanent crash rate ``x / 40``, fresh cluster per rate):
@@ -120,8 +121,9 @@ def build_point(database, r: int, kmax: int, repeats: int, executor) -> dict:
 
     Batched and fanned-out builds are best-of-``repeats``; the scalar
     references (seconds each at r~200) run once and only feed the
-    speedup columns.  ``executor`` is None when fan-out is not
-    measured, and the ``*_parallel_*`` keys are then absent.
+    speedup columns.  Only the QUERY1 build fans out; ``executor`` is
+    None when fan-out is not measured, and the ``query1_parallel_*``
+    keys are then absent.
     """
     from repro.approximate.breakpoints import (
         build_breakpoints1,
@@ -155,41 +157,59 @@ def build_point(database, r: int, kmax: int, repeats: int, executor) -> dict:
         point[f"{name}_batched_s"] = batched_s
         point[f"{name}_scalar_s"] = scalar_s
         point[f"{name}_speedup"] = scalar_s / max(batched_s, 1e-12)
-        if executor is not None:
-            parallel_s, _ = timed(
-                lambda: build(batched=True, executor=executor), repeats
-            )
-            point[f"{name}_parallel_s"] = parallel_s
-            point[f"{name}_parallel_speedup"] = batched_s / max(
-                parallel_s, 1e-12
-            )
+    if executor is not None:
+        parallel_s, _ = timed(
+            lambda: builders["query1"](batched=True, executor=executor),
+            repeats,
+        )
+        point["query1_parallel_s"] = parallel_s
+        point["query1_parallel_speedup"] = point["query1_batched_s"] / max(
+            parallel_s, 1e-12
+        )
     point["bp2_r"] = built.r
     return point
 
 
+def exact3_point(database, kmax: int, repeats: int, seed: int, executor) -> dict:
+    """A 64-row EXACT3 ``top_k_many``, inline and (with ``executor``)
+    fanned out; the ``exact3_q64_parallel_*`` keys need the cores."""
+    from repro.datasets import sample_workload
+    from repro.engine import TemporalRankingEngine
+
+    engine = TemporalRankingEngine(database)
+    batch = sample_workload(database, count=64, kmax=kmax, seed=seed)
+    point = {"label": "q=64"}
+    point["exact3_q64_s"], _ = timed(lambda: engine.top_k_many(batch), repeats)
+    if executor is not None:
+        parallel_s, _ = timed(
+            lambda: engine.top_k_many(batch, executor=executor), repeats
+        )
+        point["exact3_q64_parallel_s"] = parallel_s
+        point["exact3_q64_parallel_speedup"] = point["exact3_q64_s"] / max(
+            parallel_s, 1e-12
+        )
+    return point
+
+
 def run_build(args) -> Tuple[dict, List[dict]]:
-    from repro.parallel import get_executor
+    from repro.parallel import ParallelExecutor
 
     # Decided at measurement time: with fewer cores than workers a
     # fan-out point times executor overhead, not fan-out, so it is
     # left out of the report (and the gate skips keys absent on
     # either side) rather than recorded and flagged.
     executor = None
-    if (
-        args.workers > 1
-        and args.backend != "serial"
-        and (os.cpu_count() or 1) >= args.workers
-    ):
-        executor = get_executor(args.backend, args.workers)
+    if 1 < args.workers <= (os.cpu_count() or 1):
+        executor = ParallelExecutor(args.workers)
     database = _database(args)
     points = [
         build_point(database, r, args.kmax, args.repeats, executor)
         for r in args.r_list
     ]
-    return (
-        _config(args, "r_list", "kmax", "repeats", "workers", "backend"),
-        points,
+    points.append(
+        exact3_point(database, args.kmax, args.repeats, args.seed, executor)
     )
+    return _config(args, "r_list", "kmax", "repeats", "workers"), points
 
 
 # ----------------------------------------------------------------------
@@ -347,15 +367,14 @@ SUITES = {
         run_build,
         gated_keys=(
             "query1_batched_s", "query2_batched_s", "bp1_s", "bp2_batched_s",
-            "query1_parallel_s", "query2_parallel_s", "bp2_parallel_s",
+            "query1_parallel_s",
         ),
         gated_ratios=(
             "query1_speedup", "bp2_speedup",
-            "query1_parallel_speedup", "query2_parallel_speedup",
-            "bp2_parallel_speedup",
+            "query1_parallel_speedup", "exact3_q64_parallel_speedup",
         ),
-        # workers=1: at this size a process fan-out times pool start-up
-        # (0.07-0.3x), which a cross-machine 2x gate cannot hold.
+        # workers=1: at this size a fan-out times thread start-up, not
+        # work, which a cross-machine 2x gate cannot hold.
         smoke=dict(
             m=300, navg=30, kmax=60, r_list=[40], repeats=3, workers=1
         ),
@@ -442,11 +461,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     build.add_argument("--kmax", type=int, default=200)
     build.add_argument(
         "--workers", type=int, default=2,
-        help="fan-out width; measured only when the host has the cores",
-    )
-    build.add_argument(
-        "--backend", default="process",
-        choices=["serial", "thread", "process"], help="fan-out backend",
+        help="fan-out threads; measured only when the host has the cores",
     )
 
     chaos = suites.add_parser("chaos", parents=[shared])

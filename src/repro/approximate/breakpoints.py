@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import heapq
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -43,16 +42,6 @@ import numpy as np
 from repro.core.database import TemporalDatabase
 from repro.core.errors import ReproError
 from repro.core.geometry import solve_linear_mass
-from repro.parallel.executor import (
-    ParallelExecutor,
-    chunk_ranges,
-    get_executor,
-)
-from repro.parallel.workers import (
-    bp2_cumulative_chunk,
-    bp2_danger_chunk,
-    bp2_inverse_chunk,
-)
 
 
 @dataclass(frozen=True)
@@ -308,7 +297,6 @@ def build_breakpoints2(
     use_absolute: bool = False,
     max_r: Optional[int] = None,
     batched: bool = True,
-    executor: Optional[ParallelExecutor] = None,
 ) -> Breakpoints:
     """Efficient BREAKPOINTS2 (paper Lemma 1): a segment-driven sweep.
 
@@ -344,13 +332,6 @@ def build_breakpoints2(
     resolution stay scalar, and the produced breakpoint set is
     byte-identical to ``batched=False`` (the historical per-event
     loop, kept for the equivalence suite).
-
-    ``executor`` (default: the environment-resolved
-    :func:`repro.parallel.get_executor`) fans the batched sweep's
-    object-parallel kernel pre-passes — danger checks, base
-    cumulatives, crossing resets — out across workers; the global
-    heap merge stays sequential on the coordinator, so the produced
-    breakpoint set is byte-identical on every backend.
     """
     start = time.perf_counter()
     total, store = _prepare_store(database, use_absolute)
@@ -370,7 +351,6 @@ def build_breakpoints2(
     breakpoints, truncated = sweep(
         store, threshold, t_start, t_end, max_r,
         seg_left, seg_right, seg_cum, seg_obj,
-        executor,
     )
     return Breakpoints(
         times=np.unique(np.asarray(breakpoints)),
@@ -392,13 +372,8 @@ def _sweep_segments_scalar(
     seg_right: np.ndarray,
     seg_cum: np.ndarray,
     seg_obj: np.ndarray,
-    executor: Optional[ParallelExecutor] = None,
 ):
-    """The historical per-event BREAKPOINTS2 loop (reference path).
-
-    ``executor`` is accepted for signature parity with the batched
-    sweep and ignored: the per-event loop is inherently sequential.
-    """
+    """The historical per-event BREAKPOINTS2 loop (reference path)."""
     functions = store.functions
     num_segments = seg_left.size
     m = len(functions)
@@ -486,89 +461,6 @@ _DANGER_SLACK = 1e-9
 _EAGER_RESET_FRACTION = 8
 
 
-class _SerialSweepKernels:
-    """In-process kernel pre-passes (the reference fan-out=1 path)."""
-
-    def __init__(self, store, seg_cum, seg_obj, limit: float) -> None:
-        self._store = store
-        self._seg_cum = seg_cum
-        self._seg_obj = seg_obj
-        self._limit = limit
-
-    def cumulative_at(self, t: float) -> np.ndarray:
-        return self._store.cumulative_at(t)
-
-    def inverse_cumulative_many(self, targets: np.ndarray) -> np.ndarray:
-        return self._store.inverse_cumulative_many(targets)
-
-    def danger_flags(
-        self, lo: int, hi: int, snapshot: np.ndarray
-    ) -> np.ndarray:
-        window = slice(lo, hi)
-        danger = (
-            self._seg_cum[window] - snapshot[self._seg_obj[window]]
-            >= self._limit
-        )
-        return lo + np.flatnonzero(danger)
-
-
-class _ParallelSweepKernels:
-    """Kernel pre-passes fanned out over contiguous chunks.
-
-    Object-parallel passes (base cumulatives, crossing resets) split
-    the ``m`` objects across workers through the store's picklable
-    CSR view; the danger pre-pass splits its segment window.  Every
-    primitive is elementwise per object / per segment, so the
-    concatenated results are byte-identical to the serial kernels —
-    which is what keeps the sweep's heap decisions, and therefore the
-    breakpoint set, independent of the backend.
-    """
-
-    def __init__(self, session, obj_chunks, seg_parts: int, limit: float):
-        self._session = session
-        self._obj_chunks = obj_chunks
-        self._seg_parts = seg_parts
-        self._limit = limit
-
-    def cumulative_at(self, t: float) -> np.ndarray:
-        tasks = [(t, lo, hi) for lo, hi in self._obj_chunks]
-        return np.concatenate(self._session.map(bp2_cumulative_chunk, tasks))
-
-    def inverse_cumulative_many(self, targets: np.ndarray) -> np.ndarray:
-        tasks = [(targets[lo:hi], lo, hi) for lo, hi in self._obj_chunks]
-        return np.concatenate(self._session.map(bp2_inverse_chunk, tasks))
-
-    def danger_flags(
-        self, lo: int, hi: int, snapshot: np.ndarray
-    ) -> np.ndarray:
-        tasks = [
-            (lo + c_lo, lo + c_hi, snapshot, self._limit)
-            for c_lo, c_hi in chunk_ranges(hi - lo, self._seg_parts)
-        ]
-        return np.concatenate(self._session.map(bp2_danger_chunk, tasks))
-
-
-@contextmanager
-def _sweep_kernels(store, seg_cum, seg_obj, limit, executor):
-    """The batched sweep's kernel facade, serial or fanned out.
-
-    Opens (and tears down) one executor session for the whole sweep,
-    so pool startup is paid once per construction, not per kernel
-    pass.
-    """
-    if executor is None:
-        executor = get_executor()
-    if executor.is_serial:
-        yield _SerialSweepKernels(store, seg_cum, seg_obj, limit)
-        return
-    obj_chunks = chunk_ranges(store.num_objects, executor.workers)
-    state = (store.csr_view(), seg_cum, seg_obj)
-    with executor.session(state) as session:
-        yield _ParallelSweepKernels(
-            session, obj_chunks, executor.workers, limit
-        )
-
-
 def _sweep_segments_batched(
     store,
     threshold: float,
@@ -579,7 +471,6 @@ def _sweep_segments_batched(
     seg_right: np.ndarray,
     seg_cum: np.ndarray,
     seg_obj: np.ndarray,
-    executor: Optional[ParallelExecutor] = None,
 ):
     """BREAKPOINTS2 sweep with batched danger checks and crossings.
 
@@ -611,12 +502,6 @@ def _sweep_segments_batched(
       suite asserts byte-identity),
     * the per-object ``frontier`` array becomes a lazy lookup over the
       per-object stream positions.
-
-    The kernel pre-passes run through :func:`_sweep_kernels`: with a
-    parallel ``executor`` they fan out over contiguous object (and
-    segment-window) chunks, while the heap merge below stays
-    sequential on the coordinator — kernel values are byte-identical
-    either way, so the accepted breakpoint sequence is too.
     """
     functions = store.functions
     num_segments = seg_left.size
@@ -660,13 +545,12 @@ def _sweep_segments_batched(
     crossing_memo = np.zeros(m, dtype=np.float64)
 
     def full_refresh() -> None:
-        # ``kernels`` is bound below, before the sweep loop runs.
         nonlocal cache_index, base_vec, crossings
         if cache_index == current_index:
             return
-        kernel = kernels.cumulative_at(current_time)
+        kernel = store.cumulative_at(current_time)
         base_vec = np.where(base_index == current_index, base_mass, kernel)
-        crossings = kernels.inverse_cumulative_many(base_vec + threshold)
+        crossings = store.inverse_cumulative_many(base_vec + threshold)
         cache_index = current_index
 
     def base_of(i: int) -> float:
@@ -689,6 +573,7 @@ def _sweep_segments_batched(
     slack = _DANGER_SLACK * max(
         float(np.abs(store.totals).max()), abs(threshold)
     )
+    limit = threshold - slack
     block_end = 0
     flagged: List[int] = []
     flag_cursor = 0
@@ -698,112 +583,93 @@ def _sweep_segments_batched(
 
     heap: list = []  # (crossing time, object, base index)
     truncated = False
-    with _sweep_kernels(
-        store, seg_cum, seg_obj, threshold - slack, executor
-    ) as kernels:
-        while position < num_segments or heap:
-            if max_r is not None and len(breakpoints) >= max_r:
-                truncated = True
+    while position < num_segments or heap:
+        if max_r is not None and len(breakpoints) >= max_r:
+            truncated = True
+            break
+        next_segment_t = seg_left[position] if position < num_segments else np.inf
+        next_candidate_t = heap[0][0] if heap else np.inf
+        if next_candidate_t >= t_end and next_segment_t == np.inf:
+            break
+        if next_candidate_t <= next_segment_t:
+            # ---- crossing resolution.
+            candidate, i, base = heapq.heappop(heap)
+            if candidate >= t_end:
                 break
-            next_segment_t = (
-                seg_left[position] if position < num_segments else np.inf
-            )
-            next_candidate_t = heap[0][0] if heap else np.inf
-            if next_candidate_t >= t_end and next_segment_t == np.inf:
-                break
-            if next_candidate_t <= next_segment_t:
-                # ---- crossing resolution.
-                candidate, i, base = heapq.heappop(heap)
-                if candidate >= t_end:
-                    break
-                if base != current_index:
-                    # Stale lower bound: recompute exactly against the
-                    # newest breakpoint; keep only if still inside the
-                    # object's current segment (the scalar drop rule).
-                    fresh = crossing_of(i)
-                    if fresh <= frontier_of(i):
-                        heapq.heappush(heap, (fresh, i, current_index))
-                    continue
-                # Fresh minimum: this is b_{j+1}.  The causing object
-                # rebases exactly at the threshold on top of the base
-                # its accepted crossing was computed from.
-                caused_base = base_of(i)
-                breakpoints.append(candidate)
-                current_index += 1
-                current_time = candidate
-                base_mass[i] = caused_base + threshold
-                base_index[i] = current_index
-                if len(heap) >= reset_min:
-                    # Eager reset: every entry would pop stale against
-                    # the new breakpoint anyway; one kernel pass
-                    # refreshes all crossings and rebuilds the heap
-                    # (duplicates collapse).  Entries past their
-                    # object's frontier are dropped — the scalar drop
-                    # rule; the object's own next segment re-discovers
-                    # the crossing in time.
-                    full_refresh()
-                    live = {i} | {entry[1] for entry in heap}
-                    heap = []
-                    for obj in live:
-                        fresh = float(crossings[obj])
-                        if fresh <= frontier_of(obj):
-                            heap.append((fresh, obj, current_index))
-                    heapq.heapify(heap)
-                else:
-                    nxt = crossing_of(i)
-                    if nxt <= frontier_of(i):
-                        heapq.heappush(heap, (nxt, i, current_index))
+            if base != current_index:
+                # Stale lower bound: recompute exactly against the newest
+                # breakpoint; keep only if still inside the object's
+                # current segment (the scalar drop rule).
+                fresh = crossing_of(i)
+                if fresh <= frontier_of(i):
+                    heapq.heappush(heap, (fresh, i, current_index))
+                continue
+            # Fresh minimum: this is b_{j+1}.  The causing object rebases
+            # exactly at the threshold on top of the base its accepted
+            # crossing was computed from.
+            caused_base = base_of(i)
+            breakpoints.append(candidate)
+            current_index += 1
+            current_time = candidate
+            base_mass[i] = caused_base + threshold
+            base_index[i] = current_index
+            if len(heap) >= reset_min:
+                # Eager reset: every entry would pop stale against the
+                # new breakpoint anyway; one kernel pass refreshes all
+                # crossings and rebuilds the heap (duplicates collapse).
+                # Entries past their object's frontier are dropped — the
+                # scalar drop rule; the object's own next segment
+                # re-discovers the crossing in time.
+                full_refresh()
+                live = {i} | {entry[1] for entry in heap}
+                heap = []
+                for obj in live:
+                    fresh = float(crossings[obj])
+                    if fresh <= frontier_of(obj):
+                        heap.append((fresh, obj, current_index))
+                heapq.heapify(heap)
             else:
-                # ---- segment arrivals: batched danger pre-pass.
-                if position >= block_end:
-                    block_start = position
-                    block_end = min(position + _DANGER_BLOCK, num_segments)
-                    if kernel_index != current_index:
-                        kernel_base = kernels.cumulative_at(current_time)
-                        kernel_index = current_index
-                    snapshot = np.where(
-                        base_index == current_index, base_mass, kernel_base
-                    )
-                    flagged = kernels.danger_flags(
-                        block_start, block_end, snapshot
-                    ).tolist()
-                    flag_cursor = 0
-                while (
-                    flag_cursor < len(flagged)
-                    and flagged[flag_cursor] < position
-                ):
-                    flag_cursor += 1
-                first = (
-                    flagged[flag_cursor]
-                    if flag_cursor < len(flagged)
-                    else num_segments
+                nxt = crossing_of(i)
+                if nxt <= frontier_of(i):
+                    heapq.heappush(heap, (nxt, i, current_index))
+        else:
+            # ---- segment arrivals: batched danger pre-pass.
+            if position >= block_end:
+                block_start = position
+                block_end = min(position + _DANGER_BLOCK, num_segments)
+                if kernel_index != current_index:
+                    kernel_base = store.cumulative_at(current_time)
+                    kernel_index = current_index
+                snapshot = np.where(
+                    base_index == current_index, base_mass, kernel_base
                 )
-                if first == position:
-                    # The exact danger check for the flagged segment
-                    # (identical compare and push value as the scalar
-                    # loop, via the cached bases/crossings).
-                    flag_cursor += 1
-                    i = int(seg_obj[position])
-                    if seg_cum[position] - base_of(i) >= threshold:
-                        heapq.heappush(
-                            heap, (crossing_of(i), i, current_index)
-                        )
-                    position += 1
-                    continue
-                # A clean run up to the next flagged segment, the next
-                # heap candidate's arrival, or the block end — skip it
-                # in bulk.
-                target = min(first, block_end)
-                if heap:
-                    target = min(
-                        target,
-                        int(
-                            np.searchsorted(
-                                seg_left, next_candidate_t, "left"
-                            )
-                        ),
-                    )
-                position = target
+                window = slice(block_start, block_end)
+                danger = seg_cum[window] - snapshot[seg_obj[window]] >= limit
+                flagged = (block_start + np.flatnonzero(danger)).tolist()
+                flag_cursor = 0
+            while flag_cursor < len(flagged) and flagged[flag_cursor] < position:
+                flag_cursor += 1
+            first = (
+                flagged[flag_cursor] if flag_cursor < len(flagged) else num_segments
+            )
+            if first == position:
+                # The exact danger check for the flagged segment (identical
+                # compare and push value as the scalar loop, via the
+                # cached bases/crossings).
+                flag_cursor += 1
+                i = int(seg_obj[position])
+                if seg_cum[position] - base_of(i) >= threshold:
+                    heapq.heappush(heap, (crossing_of(i), i, current_index))
+                position += 1
+                continue
+            # A clean run up to the next flagged segment, the next heap
+            # candidate's arrival, or the block end — skip it in bulk.
+            target = min(first, block_end)
+            if heap:
+                target = min(
+                    target, int(np.searchsorted(seg_left, next_candidate_t, "left"))
+                )
+            position = target
     breakpoints.append(t_end)
     return breakpoints, truncated
 
@@ -823,14 +689,12 @@ def epsilon_for_budget(
     use_absolute: bool = False,
     tolerance: int = 0,
     max_iterations: int = 60,
-    executor: Optional[ParallelExecutor] = None,
 ) -> float:
     """Largest ``eps`` whose BREAKPOINTS2 has about ``r_target`` points.
 
     The paper's experiments fix the breakpoint *budget* r and compare
     the epsilon each construction achieves (Figure 11(a)); since
     ``r(eps)`` is monotone nonincreasing this is a binary search.
-    ``executor`` is forwarded to every probe construction.
     """
     if r_target < 2:
         raise ReproError("r_target must be at least 2")
@@ -839,9 +703,7 @@ def epsilon_for_budget(
     cap = 4 * r_target + 16  # abort hopeless (too-small eps) probes early
     for _ in range(max_iterations):
         mid = np.sqrt(lo * hi)  # geometric: eps spans many decades
-        probe = build_breakpoints2(
-            database, mid, use_absolute, max_r=cap, executor=executor
-        )
+        probe = build_breakpoints2(database, mid, use_absolute, max_r=cap)
         r_mid = cap if probe.truncated else probe.r
         if not probe.truncated and abs(r_mid - r_target) <= tolerance:
             return float(mid)

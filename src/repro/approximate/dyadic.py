@@ -28,13 +28,6 @@ from repro.core.results import TopKResult, top_k_from_arrays
 from repro.storage.device import BlockDevice
 from repro.btree.batch import modeled_successor_many, supports_model
 from repro.btree.tree import BPlusTree
-from repro.parallel.executor import (
-    OVERSUBSCRIPTION,
-    ParallelExecutor,
-    chunk_ranges,
-    get_executor,
-)
-from repro.parallel.workers import dyadic_toplists_chunk
 from repro.approximate.breakpoints import Breakpoints
 from repro.approximate.toplists import (
     StoredTopList,
@@ -88,10 +81,7 @@ class DyadicIndex:
 
     # ------------------------------------------------------------------
     def build(
-        self,
-        database: TemporalDatabase,
-        batched: bool = True,
-        executor: Optional[ParallelExecutor] = None,
+        self, database: TemporalDatabase, batched: bool = True
     ) -> "DyadicIndex":
         """Materialize every dyadic node list and wire the segment tree.
 
@@ -103,13 +93,6 @@ class DyadicIndex:
         build — node lists, device layout, and IO charges are all
         byte-identical to ``batched=False`` (the historical per-frame
         recursion).
-
-        ``executor`` (default: the environment-resolved
-        :func:`repro.parallel.get_executor`) fans contiguous chunks
-        of the preorder node columns out across workers; row results
-        are per-row independent, so the concatenated matrices — and
-        the tree wired from them on the coordinator — are
-        byte-identical on every backend.
         """
         times = self.breakpoints.times
         num_gaps = times.size - 1
@@ -119,21 +102,9 @@ class DyadicIndex:
             ids, p_t = cumulative_matrix_T(database, times)
             los, his = self._enumerate_nodes(0, num_gaps)
             nonneg = bool(database.store().knot_values.min() >= 0.0)
-            if executor is None:
-                executor = get_executor()
-            if executor.is_serial:
-                neg = np.ascontiguousarray(p_t[los] - p_t[his])
-                batcher = TopListBatcher(ids, los.size, self.kmax, nonneg)
-                top_ids, top_scores, _ = batcher.top_lists(neg)
-            else:
-                chunks = chunk_ranges(
-                    int(los.size), executor.workers * OVERSUBSCRIPTION
-                )
-                state = (ids, p_t, los, his, self.kmax, nonneg)
-                with executor.session(state) as session:
-                    parts = session.map(dyadic_toplists_chunk, chunks)
-                top_ids = np.concatenate([part[0] for part in parts])
-                top_scores = np.concatenate([part[1] for part in parts])
+            neg = np.ascontiguousarray(p_t[los] - p_t[his])
+            batcher = TopListBatcher(ids, los.size, self.kmax, nonneg)
+            top_ids, top_scores, _ = batcher.top_lists(neg)
             cursor = [0]
             self.root_id = self._wire_node(
                 top_ids, top_scores, cursor, 0, num_gaps

@@ -71,8 +71,8 @@ class _ApproximateBase(RankingMethod):
         self.epsilon = epsilon
         self.r_budget = r
         self.kmax = kmax
-        #: Fan-out executor for index construction (None: resolve from
-        #: the environment at build time; see repro.parallel).
+        #: Thread fan-out for the QUERY1 build (APPX1, APPX1-B); None
+        #: builds inline.  QUERY2 builds always run inline.
         self.executor = executor
         self._prebuilt = breakpoints
         self._stats = IOStats()
@@ -95,10 +95,8 @@ class _ApproximateBase(RankingMethod):
             return build_breakpoints1(database, r=self.r_budget)
         epsilon = self.epsilon
         if epsilon is None:
-            epsilon = epsilon_for_budget(
-                database, self.r_budget, executor=self.executor
-            )
-        return build_breakpoints2(database, epsilon, executor=self.executor)
+            epsilon = epsilon_for_budget(database, self.r_budget)
+        return build_breakpoints2(database, epsilon)
 
     @property
     def io_stats(self) -> IOStats:
@@ -180,7 +178,7 @@ class Appx2(_ApproximateBase):
     def _build(self, database: TemporalDatabase) -> None:
         self.breakpoints = self._build_breakpoints(database)
         self.index = DyadicIndex(self.device, self.breakpoints, self.kmax)
-        self.index.build(database, executor=self.executor)
+        self.index.build(database)
 
     def _query(self, query: TopKQuery) -> TopKResult:
         return self.index.query(query.t1, query.t2, query.k)

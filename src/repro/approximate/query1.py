@@ -14,7 +14,8 @@ packed top-``k_max`` list.  A query snaps ``[t1, t2]`` to
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from itertools import chain
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -27,10 +28,8 @@ from repro.btree.tree import BPlusTree
 from repro.parallel.executor import (
     OVERSUBSCRIPTION,
     ParallelExecutor,
-    get_executor,
     weighted_chunk_ranges,
 )
-from repro.parallel.workers import query1_toplists_chunk
 from repro.approximate.breakpoints import Breakpoints
 from repro.approximate.toplists import (
     StoredTopList,
@@ -75,38 +74,40 @@ class NestedPairIndex:
         identically laid-out device (the equivalence suite asserts
         this).
 
-        ``executor`` (default: the environment-resolved
-        :func:`repro.parallel.get_executor`) fans the independent
-        per-left-endpoint batches out across workers; device writes
-        and tree wiring stay on the coordinator, in ``j`` order, so
-        every backend yields a byte-identical index.
+        ``executor`` (a :class:`~repro.parallel.ParallelExecutor`;
+        default inline) computes the independent per-left-endpoint
+        batches on worker threads; device writes and tree wiring stay
+        on the caller, in ``j`` order, so the index is byte-identical
+        to the inline build.
         """
         times = self.breakpoints.times
         r = times.size
-        materialized = None
         if batched:
             ids, p_t = cumulative_matrix_T(database, times)
-            m = p_t.shape[1]
             nonneg = bool(database.store().knot_values.min() >= 0.0)
-            if executor is None:
-                executor = get_executor()
-            if executor.is_serial:
-                batcher = TopListBatcher(ids, r - 1, self.kmax, nonneg)
-                neg_buffer = np.empty((r - 1, m), dtype=np.float64)
+            if executor is None or executor.is_serial:
+                lists = self._top_lists(ids, p_t, nonneg, 0, r - 1)
             else:
-                materialized = self._materialize_parallel(
-                    ids, p_t, nonneg, executor
+                # Chunks are balanced by each left endpoint's row count
+                # (``j`` owns ``r - 1 - j`` lists) and mildly
+                # oversubscribed so one slow chunk cannot serialize the
+                # pool; results flatten back in ``j`` order.
+                chunks = weighted_chunk_ranges(
+                    np.arange(r - 1, 0, -1, dtype=np.float64),
+                    executor.workers * OVERSUBSCRIPTION,
                 )
+                parts = executor.map(
+                    lambda bounds: list(
+                        self._top_lists(ids, p_t, nonneg, *bounds)
+                    ),
+                    chunks,
+                )
+                lists = chain.from_iterable(parts)
         else:
             ids, matrix = cumulative_matrix(database, times)
         for j in range(r - 1):
             if batched:
-                if materialized is not None:
-                    top_ids, top_scores = materialized[j]
-                else:
-                    neg = neg_buffer[: r - 1 - j]
-                    np.subtract(p_t[j], p_t[j + 1 :], out=neg)
-                    top_ids, top_scores, _ = batcher.top_lists(neg)
+                top_ids, top_scores = next(lists)
                 stored_lists = StoredTopList.store_many(
                     self.device, top_ids, top_scores
                 )
@@ -132,34 +133,23 @@ class NestedPairIndex:
         self.top_tree.bulk_load(top_keys, top_rows)
         return self
 
-    def _materialize_parallel(
-        self,
-        ids: np.ndarray,
-        p_t: np.ndarray,
-        nonneg: bool,
-        executor: ParallelExecutor,
-    ) -> list:
-        """All per-``j`` top lists, fanned out over contiguous chunks.
+    def _top_lists(
+        self, ids: np.ndarray, p_t: np.ndarray, nonneg: bool, lo: int, hi: int
+    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """``(top_ids, top_scores)`` for left endpoints ``j`` in ``[lo, hi)``.
 
-        Chunks are balanced by each left endpoint's row count (``j``
-        owns ``r - 1 - j`` lists) and mildly oversubscribed so one
-        slow chunk cannot serialize the pool.  Results come back in
-        submission order and flatten to one ``(top_ids, top_scores)``
-        pair per ``j`` — byte-identical to the serial batcher's
-        output, committed by the caller in ``j`` order.
+        One :class:`TopListBatcher` pass per ``j`` over the score
+        matrix ``P_T[j] - P_T[j+1:]``; a chunk owns its batcher and
+        scratch, so chunks run independently, and lazily when inline.
         """
-        r = p_t.shape[0]
-        weights = np.arange(r - 1, 0, -1, dtype=np.float64)
-        chunks = weighted_chunk_ranges(
-            weights, executor.workers * OVERSUBSCRIPTION
-        )
-        state = (ids, p_t, self.kmax, nonneg)
-        with executor.session(state) as session:
-            parts = session.map(query1_toplists_chunk, chunks)
-        materialized: list = []
-        for chunk_lists in parts:
-            materialized.extend(chunk_lists)
-        return materialized
+        r, m = p_t.shape
+        batcher = TopListBatcher(ids, r - 1 - lo, self.kmax, nonneg)
+        neg_buffer = np.empty((r - 1 - lo, m), dtype=np.float64)
+        for j in range(lo, hi):
+            neg = neg_buffer[: r - 1 - j]
+            np.subtract(p_t[j], p_t[j + 1 :], out=neg)
+            top_ids, top_scores, _ = batcher.top_lists(neg)
+            yield top_ids, top_scores
 
     # ------------------------------------------------------------------
     def query(self, t1: float, t2: float, k: int) -> TopKResult:

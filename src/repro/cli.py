@@ -28,24 +28,10 @@ from repro.datasets import (
     sample_workload,
 )
 from repro.exact import Exact1, Exact2, Exact3
-from repro.parallel import BACKENDS, get_executor
+from repro.parallel import ParallelExecutor
 from repro.storage.persistence import read_payload, write_payload
 
 _EXACT_METHODS = {"exact1": Exact1, "exact2": Exact2, "exact3": Exact3}
-
-
-def _resolve_executor(args: argparse.Namespace):
-    """The build executor the flags ask for (None: environment default).
-
-    ``--workers N`` alone implies the process backend — otherwise the
-    worker count would be silently discarded by the serial default.
-    """
-    if args.executor is None and args.workers is None:
-        return None
-    backend = args.executor
-    if backend is None and args.workers is not None and args.workers > 1:
-        backend = "process"
-    return get_executor(backend, args.workers)
 
 
 def _make_method(name: str, epsilon: float, kmax: int, executor=None):
@@ -80,7 +66,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     if not isinstance(db, TemporalDatabase):
         raise SystemExit(f"{args.database} does not contain a database")
     method = _make_method(
-        args.method, args.epsilon, args.kmax, _resolve_executor(args)
+        args.method, args.epsilon, args.kmax, ParallelExecutor(args.workers)
     )
     method.build(db)
     written = write_payload(args.output, method)
@@ -111,7 +97,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     )
     exact = exact_reference(db, queries)
     rows = []
-    executor = _resolve_executor(args)
+    executor = ParallelExecutor(args.workers)
     methods = [Exact1(), Exact2(), Exact3()]
     for name in ("APPX1", "APPX2", "APPX2+"):
         methods.append(
@@ -139,7 +125,7 @@ def cmd_workload(args: argparse.Namespace) -> int:
     batch = sample_workload(
         database, count=args.count, kmax=args.kmax, seed=args.seed
     )
-    executor = _resolve_executor(args)
+    executor = ParallelExecutor(args.workers)
     start = time.perf_counter()
     results = method.query_many(batch, executor=executor)
     batched_seconds = time.perf_counter() - start
@@ -193,13 +179,11 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             transient_rate=args.fault_rate,
         )
         retry_policy = INSTANT_RETRY_POLICY
-    executor = _resolve_executor(args)
     start = time.perf_counter()
     if args.partition == "object":
         cluster = ObjectPartitionedCluster(
             db,
             num_nodes=args.nodes,
-            executor=executor,
             replicas=args.replicas,
             fault_plan=fault_plan,
             retry_policy=retry_policy,
@@ -208,7 +192,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         cluster = TimePartitionedCluster(
             db,
             num_nodes=args.nodes,
-            executor=executor,
             replicas=args.replicas,
             fault_plan=fault_plan,
             retry_policy=retry_policy,
@@ -229,11 +212,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     )
     cluster.comm.reset()
     start = time.perf_counter()
-    if args.partition == "object":
-        # Forwarded to each node's query_many (EXACT3 chunk fan-out);
-        # the time cluster's scatter path has no query fan-out.
-        results = cluster.query_many(batch, executor=executor)
-    elif args.protocol == "threshold":
+    if args.protocol == "threshold":
         # Lock-step batched TA: all queries advance rounds together.
         results = cluster.query_many(
             batch, protocol="threshold", batch_size=args.batch_size
@@ -622,18 +601,13 @@ def cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_executor_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--executor",
-        choices=list(BACKENDS),
-        default=None,
-        help="index-build fan-out backend (default: REPRO_EXECUTOR or serial)",
-    )
+def _add_workers_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
         type=int,
-        default=None,
-        help="fan-out worker count (default: REPRO_WORKERS or all cores)",
+        default=1,
+        help="worker threads for the QUERY1 build and EXACT3 batches "
+        "(default: 1, inline)",
     )
 
 
@@ -658,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--epsilon", type=float, default=1e-4)
     p_build.add_argument("--kmax", type=int, default=50)
     p_build.add_argument("-o", "--output", required=True)
-    _add_executor_options(p_build)
+    _add_workers_option(p_build)
     p_build.set_defaults(func=cmd_build)
 
     p_query = sub.add_parser("query", help="run one aggregate top-k query")
@@ -676,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--epsilon", type=float, default=1e-4)
     p_cmp.add_argument("--kmax", type=int, default=50)
     p_cmp.add_argument("--seed", type=int, default=0)
-    _add_executor_options(p_cmp)
+    _add_workers_option(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_load = sub.add_parser(
@@ -691,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also run the scalar loop and check answers are identical",
     )
-    _add_executor_options(p_load)
+    _add_workers_option(p_load)
     p_load.set_defaults(func=cmd_workload)
 
     p_cluster = sub.add_parser(
@@ -750,7 +724,6 @@ def build_parser() -> argparse.ArgumentParser:
         "bytes are identical (under faults: check every non-degraded "
         "answer matches the healthy protocol bit-for-bit)",
     )
-    _add_executor_options(p_cluster)
     p_cluster.set_defaults(func=cmd_cluster)
 
     p_snap = sub.add_parser(

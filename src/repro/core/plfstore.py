@@ -88,21 +88,12 @@ def isin_sorted(sorted_values: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
 
 class CSRView:
-    """A picklable, shareable view of a store's CSR kernel arrays.
+    """A shareable view of a store's CSR kernel arrays.
 
-    Process-pool build workers need the batch kernels without the
-    ``m`` Python function objects (and their lazy caches) a full
-    :class:`PLFStore` drags along: the view bundles exactly the seven
-    flat arrays the kernels read, so it pickles cheaply on spawn
-    platforms and is inherited copy-on-write under fork.  It exposes
-    the two primitives the parallel BREAKPOINTS2 sweep fans out —
-    both over an optional contiguous object range ``[lo, hi)``, so
-    each worker computes only its own slice.
-
-    The arithmetic here *is* the store's (:class:`PLFStore` delegates
-    to its cached view), and every operation is elementwise per
-    object, so range results are byte-identical slices of the
-    full-store answers.
+    The view bundles exactly the seven flat arrays the batch kernels
+    read — no ``m`` Python function objects, no lazy caches.  The
+    arithmetic here *is* the store's: :class:`PLFStore` delegates to
+    its cached view.
     """
 
     __slots__ = (
@@ -113,7 +104,6 @@ class CSRView:
         "starts",
         "ends",
         "totals",
-        "segment",
         "_knot_obj",
     )
 
@@ -126,7 +116,6 @@ class CSRView:
         starts: np.ndarray,
         ends: np.ndarray,
         totals: np.ndarray,
-        segment: Optional[str] = None,
     ) -> None:
         self.knot_times = knot_times
         self.knot_values = knot_values
@@ -135,44 +124,21 @@ class CSRView:
         self.starts = starts
         self.ends = ends
         self.totals = totals
-        # Path of the on-disk store segment backing these arrays, when
-        # they were mounted (repro.storage.segments) rather than built
-        # in memory.  Segment-backed views pickle as just this path —
-        # see __reduce__ — so process fan-out ships no array bytes.
-        self.segment = segment
         # Knot -> object row map of :meth:`locate_many`; derived from
-        # ``offsets`` on first use and never pickled.
+        # ``offsets`` on first use.
         self._knot_obj: Optional[np.ndarray] = None
-
-    def __reduce__(self):
-        if self.segment is not None:
-            from repro.storage.segments import open_csr_view
-
-            return (open_csr_view, (self.segment,))
-        return (
-            CSRView,
-            (
-                self.knot_times,
-                self.knot_values,
-                self.offsets,
-                self.prefix_masses,
-                self.starts,
-                self.ends,
-                self.totals,
-            ),
-        )
 
     @property
     def num_objects(self) -> int:
         """``m``."""
         return int(self.offsets.size - 1)
 
-    def _locate(self, tc: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    def _locate(self, tc: np.ndarray) -> np.ndarray:
         """Flat knot index of the segment containing one clamped time.
 
         The kernel of the single-time entry points (``cumulative_at``,
-        ``values_at``): ``tc`` is the ``(hi - lo,)`` clamp of one time
-        into the spans of objects ``[lo, hi)``.  Returns, per object,
+        ``values_at``): ``tc`` is the ``(m,)`` clamp of one time into
+        every object's span.  Returns, per object,
         the largest knot index ``j`` within its segment-left range
         with ``knot_times[j] <= tc`` — the same piece the scalar
         ``searchsorted(times, t, "right") - 1`` selects — by a shared
@@ -181,11 +147,11 @@ class CSRView:
         call.
         """
         shape = tc.shape
-        low = np.broadcast_to(self.offsets[lo:hi], shape).copy()
+        low = np.broadcast_to(self.offsets[:-1], shape).copy()
         # Restrict to segment-left knots so ``j`` always names a piece
         # (times at an object's end map to its last piece with dt = 0
         # before the boundary masks take over).
-        high = np.broadcast_to(self.offsets[lo + 1 : hi + 1] - 2, shape).copy()
+        high = np.broadcast_to(self.offsets[1:] - 2, shape).copy()
         while True:
             active = low < high
             if not active.any():
@@ -261,45 +227,35 @@ class CSRView:
         v_t = v0 + w * dt
         return self.prefix_masses[j] + 0.5 * dt * (v0 + v_t)
 
-    def cumulative_at(
-        self, t: float, lo: int = 0, hi: Optional[int] = None
-    ) -> np.ndarray:
-        """``C_i(t)`` for objects ``[lo, hi)``: a ``(hi - lo,)`` array.
+    def cumulative_at(self, t: float) -> np.ndarray:
+        """``C_i(t)`` for every object: an ``(m,)`` array.
 
         Clamped exactly like the scalar :meth:`PiecewiseLinearFunction.
         cumulative`: 0 before the object's span, total mass after it.
         """
-        if hi is None:
-            hi = self.num_objects
         t = float(t)
-        starts = self.starts[lo:hi]
-        ends = self.ends[lo:hi]
-        tc = np.clip(t, starts, ends)
-        cum = self._cumulative_clamped(tc, self._locate(tc, lo, hi))
+        tc = np.clip(t, self.starts, self.ends)
+        cum = self._cumulative_clamped(tc, self._locate(tc))
         return np.where(
-            t <= starts,
+            t <= self.starts,
             0.0,
-            np.where(t >= ends, self.totals[lo:hi], cum),
+            np.where(t >= self.ends, self.totals, cum),
         )
 
-    def inverse_cumulative_many(
-        self, targets: np.ndarray, lo: int = 0, hi: Optional[int] = None
-    ) -> np.ndarray:
-        """Per-object smallest ``t`` with ``C_i(t) >= targets[i - lo]``.
+    def inverse_cumulative_many(self, targets: np.ndarray) -> np.ndarray:
+        """Per-object smallest ``t`` with ``C_i(t) >= targets[i]``.
 
         The batched BREAKPOINTS2 reset step: one call replaces the
-        scalar ``inverse_cumulative`` calls for objects ``[lo, hi)``,
-        with identical piece selection (left-biased bisection on the
+        scalar ``inverse_cumulative`` calls for every object, with
+        identical piece selection (left-biased bisection on the
         prefix masses) and the same stable quadratic root, so results
         match bit for bit.  Requires nondecreasing cumulatives (run on
         the absolute store when scores may be negative).  Entries
         whose total mass never reaches the target come back ``inf``.
         """
-        if hi is None:
-            hi = self.num_objects
         targets = np.asarray(targets, dtype=np.float64)
-        low = self.offsets[lo:hi].copy()
-        high = self.offsets[lo + 1 : hi + 1] - 2
+        low = self.offsets[:-1].copy()
+        high = self.offsets[1:] - 2
         # Largest knot j in the object's segment-left range with
         # prefix[j] < target (prefix[start] = 0 < target holds whenever
         # the target is positive; nonpositive targets are masked below).
@@ -325,8 +281,8 @@ class CSRView:
             x = 2.0 * need / denom
         dt = np.where(denom <= 0, max_dt, np.minimum(x, max_dt))
         crossing = t0 + dt
-        out = np.where(targets <= 0.0, self.starts[lo:hi], crossing)
-        return np.where(targets > self.totals[lo:hi], np.inf, out)
+        out = np.where(targets <= 0.0, self.starts, crossing)
+        return np.where(targets > self.totals, np.inf, out)
 
     def __repr__(self) -> str:
         return (
@@ -590,11 +546,11 @@ class PLFStore:
     # batched piece location
     # ------------------------------------------------------------------
     def csr_view(self) -> CSRView:
-        """The picklable kernel-array view (cached; arrays are shared).
+        """The kernel-array view (cached; arrays are shared).
 
-        Parallel builders ship this to pool workers instead of the
-        store itself — no function objects, no lazy caches, same
-        arithmetic (the store's own kernels delegate here).
+        The store's own kernels delegate here, and the batched EXACT3
+        answers read it directly — no function objects, no lazy
+        caches, same arithmetic.
         """
         if self._csr is None:
             self._csr = CSRView(
@@ -605,7 +561,6 @@ class PLFStore:
                 self.starts,
                 self.ends,
                 self.totals,
-                segment=self._segment,
             )
         return self._csr
 
@@ -721,7 +676,7 @@ class PLFStore:
         """``g_i(t)`` for every object (0 outside each span): ``(m,)``."""
         t = float(t)
         tc = np.clip(t, self.starts, self.ends)
-        j = self.csr_view()._locate(tc, 0, self.num_objects)
+        j = self.csr_view()._locate(tc)
         t0 = self.knot_times[j]
         v0 = self.knot_values[j]
         w = (self.knot_values[j + 1] - v0) / (self.knot_times[j + 1] - t0)

@@ -9,7 +9,6 @@ from repro.distributed.comm import (
 from repro.distributed.nodes import (
     ReplicaGroup,
     StorageNode,
-    build_node_methods,
     make_replica_groups,
 )
 from repro.distributed.object_partition import ObjectPartitionedCluster
@@ -35,7 +34,6 @@ __all__ = [
     "ObjectPartitionedCluster",
     "ReplicaGroup",
     "TimePartitionedCluster",
-    "build_node_methods",
     "hash_partition",
     "make_replica_groups",
     "replica_placement",

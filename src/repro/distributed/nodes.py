@@ -30,44 +30,6 @@ from repro.datasets.workload import WorkloadBatch
 from repro.distributed.ta_index import SortedPrefixList, TANodeIndex
 from repro.exact.base import RankingMethod
 from repro.exact.exact3 import Exact3
-from repro.parallel.executor import ParallelExecutor
-
-
-def build_node_methods(
-    databases: Sequence[TemporalDatabase],
-    method_factory=None,
-    executor: Optional[ParallelExecutor] = None,
-) -> List[RankingMethod]:
-    """Build one ranking index per shard, fanned through one session.
-
-    ``method_factory`` must be picklable for the process backend (a
-    method class like :class:`~repro.exact.exact3.Exact3`, or a
-    ``functools.partial`` binding parameters); ``None`` builds EXACT3.
-    With a serial (or absent) executor the builds run inline — the
-    reference behavior.  Construction is deterministic per shard and
-    each method owns a private device, so the built indexes (layout,
-    IO counters) are byte-identical on every backend; methods built in
-    pool workers are re-bound to the coordinator's shard database
-    objects on receipt.
-    """
-    factory = method_factory if method_factory is not None else Exact3
-    count = len(databases)
-    if executor is None or executor.is_serial or count < 2:
-        return [factory().build(database) for database in databases]
-    from repro.parallel.executor import chunk_ranges
-    from repro.parallel.workers import node_build_chunk
-
-    chunks = chunk_ranges(count, executor.workers)
-    state = (tuple(databases), factory)
-    with executor.session(state) as session:
-        parts = session.map(node_build_chunk, chunks)
-    methods = [method for part in parts for method in part]
-    for database, method in zip(databases, methods):
-        method.database = database
-        rescorer = getattr(method, "rescorer", None)
-        if rescorer is not None:
-            rescorer.database = database
-    return methods
 
 
 class StorageNode:
@@ -83,9 +45,9 @@ class StorageNode:
         self.database = database
         self.method = method if method is not None else Exact3()
         # Adopt a prebuilt method only when it was built on this very
-        # shard database (the build_node_methods fast path); anything
-        # else is (re)built here, preserving the constructor's
-        # invariant that the node answers from its own shard.
+        # shard database; anything else is (re)built here, preserving
+        # the constructor's invariant that the node answers from its
+        # own shard.
         if (
             not getattr(self.method, "_built", False)
             or self.method.database is not database
@@ -105,7 +67,7 @@ class StorageNode:
 
     @property
     def view(self) -> CSRView:
-        """The shard's picklable CSR kernel slice (cached on the store)."""
+        """The shard's CSR kernel slice (cached on the store)."""
         return self.database.store().csr_view()
 
     @property
@@ -190,7 +152,6 @@ class StorageNode:
         t1s: np.ndarray,
         t2s: np.ndarray,
         ks: np.ndarray,
-        executor: Optional[ParallelExecutor] = None,
     ) -> List[TopKResult]:
         """Batched :meth:`local_top_k`: one vectorized pass per shard.
 
@@ -206,7 +167,7 @@ class StorageNode:
             np.asarray(t2s, dtype=np.float64),
             local_ks,
         )
-        return self.method.query_many(batch, executor=executor)
+        return self.method.query_many(batch)
 
     def partial_scores_many(
         self, t1s: np.ndarray, t2s: np.ndarray

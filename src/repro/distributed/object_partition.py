@@ -29,22 +29,14 @@ from repro.core.errors import NodeUnavailable, PartialResultError
 from repro.core.queries import workload_arrays
 from repro.core.results import TopKResult, merge_top_k_many, select_top_k
 from repro.exact.base import RankingMethod
+from repro.exact.exact3 import Exact3
 from repro.distributed.comm import CommStats
-from repro.distributed.nodes import (
-    StorageNode,
-    build_node_methods,
-    make_replica_groups,
-)
+from repro.distributed.nodes import StorageNode, make_replica_groups
 from repro.distributed.partitioner import hash_partition
-from repro.parallel.executor import ParallelExecutor
 
 
 class ObjectPartitionedCluster:
     """A cluster whose shards partition the *objects*.
-
-    ``executor`` fans the per-node index builds through one
-    :class:`~repro.parallel.executor.Session` (the PR 3 build
-    executor); the built shards are byte-identical on every backend.
 
     Fault tolerance: ``replicas`` endpoints serve each shard
     (failover between them is answer-invisible — same shard state),
@@ -62,7 +54,6 @@ class ObjectPartitionedCluster:
         database: TemporalDatabase,
         num_nodes: int,
         method_factory: Optional[Callable[[], RankingMethod]] = None,
-        executor: Optional[ParallelExecutor] = None,
         replicas: int = 1,
         fault_plan=None,
         retry_policy=None,
@@ -70,14 +61,10 @@ class ObjectPartitionedCluster:
     ) -> None:
         self.comm = CommStats()
         partitions = hash_partition(database, num_nodes)
-        methods = build_node_methods(
-            [partition.database for partition in partitions],
-            method_factory,
-            executor,
-        )
+        factory = method_factory if method_factory is not None else Exact3
         self.nodes = [
-            StorageNode(partition.node_id, partition.database, method)
-            for partition, method in zip(partitions, methods)
+            StorageNode(partition.node_id, partition.database, factory())
+            for partition in partitions
         ]
         self.allow_partial = allow_partial
         self.groups = make_replica_groups(
@@ -114,11 +101,7 @@ class ObjectPartitionedCluster:
             candidates.extend((item.object_id, item.score) for item in local)
         return select_top_k(candidates, k)
 
-    def query_many(
-        self,
-        queries,
-        executor: Optional[ParallelExecutor] = None,
-    ) -> List[TopKResult]:
+    def query_many(self, queries) -> List[TopKResult]:
         """Batched :meth:`query`: answer a whole workload at once.
 
         Each node receives the full batch (one logical request message
@@ -128,10 +111,6 @@ class ObjectPartitionedCluster:
         into the canonical global top-k.  Equivalence contract:
         answers, tie-breaks, per-node IO charges, and comm totals are
         bit-identical to looping :meth:`query` over the workload.
-
-        ``executor`` is forwarded to each node's ``query_many``
-        (EXACT3 fans query chunks; serial, thread, and process
-        backends are answer-identical).
 
         Every node call goes through the shard's
         :class:`~repro.distributed.nodes.ReplicaGroup` — transient
@@ -153,9 +132,7 @@ class ObjectPartitionedCluster:
         for group in self.groups:
             total_objects += group.inner.num_objects
             try:
-                local = group.call(
-                    "local_top_k_many", t1s, t2s, ks, executor=executor
-                )
+                local = group.call("local_top_k_many", t1s, t2s, ks)
             except NodeUnavailable:
                 lost_objects += group.inner.num_objects
                 continue

@@ -19,8 +19,8 @@ Each splitter returns :class:`Partition` records carrying the shard
 database plus the metadata the coordinator needs (node id, time
 range).  The shard databases are plain :class:`~repro.core.database.
 TemporalDatabase` objects, so every piece of the shared kernel —
-``PLFStore``/``CSRView``, the batched ``query_many`` pipelines, the
-parallel build executor — applies per node unchanged.
+``PLFStore``/``CSRView`` and the batched ``query_many`` pipelines —
+applies per node unchanged.
 """
 
 from __future__ import annotations

@@ -58,13 +58,8 @@ from repro.core.errors import NodeUnavailable, PartialResultError
 from repro.core.queries import workload_arrays
 from repro.core.results import TopKResult, top_k_from_arrays
 from repro.distributed.comm import CommStats
-from repro.distributed.nodes import (
-    StorageNode,
-    build_node_methods,
-    make_replica_groups,
-)
+from repro.distributed.nodes import StorageNode, make_replica_groups
 from repro.distributed.partitioner import time_boundaries, time_range_partition
-from repro.parallel.executor import ParallelExecutor
 
 
 class _DeadStream:
@@ -189,18 +184,12 @@ class _TAQueryState:
 
 
 class TimePartitionedCluster:
-    """A cluster whose shards partition the *time domain*.
-
-    ``executor`` fans the per-node index builds through one
-    :class:`~repro.parallel.executor.Session`; built shards are
-    byte-identical on every backend.
-    """
+    """A cluster whose shards partition the *time domain*."""
 
     def __init__(
         self,
         database: TemporalDatabase,
         num_nodes: int,
-        executor: Optional[ParallelExecutor] = None,
         replicas: int = 1,
         fault_plan=None,
         retry_policy=None,
@@ -210,14 +199,9 @@ class TimePartitionedCluster:
         self.database = database
         self.boundaries = time_boundaries(database, num_nodes)
         partitions = time_range_partition(database, num_nodes, self.boundaries)
-        methods = build_node_methods(
-            [partition.database for partition in partitions],
-            None,
-            executor,
-        )
         self.nodes: List[StorageNode] = [
-            StorageNode(partition.node_id, partition.database, method)
-            for partition, method in zip(partitions, methods)
+            StorageNode(partition.node_id, partition.database)
+            for partition in partitions
         ]
         self.allow_partial = allow_partial
         self.groups = make_replica_groups(

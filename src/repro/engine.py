@@ -100,8 +100,8 @@ class TemporalRankingEngine:
         served through the vectorized ``query_many`` pipelines.
 
         ``executor`` (a :class:`repro.parallel.ParallelExecutor`)
-        optionally fans exact-path query chunks across workers —
-        serial, thread, and process backends are answer-identical.
+        optionally fans EXACT3 query chunks across worker threads; the
+        answers equal the inline run's.
         """
         # Normalize once; the array-attribute batch is forwarded
         # as-is (no float round-trip of ks, no (q, 3) copy).
@@ -116,7 +116,7 @@ class TemporalRankingEngine:
             self._approximate = Appx2Plus(
                 epsilon=self.epsilon, kmax=self.kmax
             ).build(self.database)
-        return self._approximate.query_many(batch, executor=executor)
+        return self._approximate.query_many(batch)
 
     def instant_top_k(self, t: float, k: int) -> TopKResult:
         """Instant ``top-k(t)`` (scores at one time instance)."""
@@ -167,7 +167,6 @@ class TemporalRankingEngine:
         num_nodes: int,
         partition: str = "object",
         method_factory=None,
-        executor=None,
         replicas: int = 1,
         fault_plan=None,
         retry_policy=None,
@@ -183,8 +182,7 @@ class TemporalRankingEngine:
         whole workloads through ``query_many`` with answers, IO
         charges, and comm bytes bit-identical to their scalar
         protocols.  ``method_factory`` (object partitions) picks the
-        per-node index — default EXACT3; ``executor`` fans the
-        per-node index builds through one parallel session.
+        per-node index — default EXACT3.
         """
         from repro.distributed import (
             ObjectPartitionedCluster,
@@ -196,7 +194,6 @@ class TemporalRankingEngine:
                 self.database,
                 num_nodes,
                 method_factory=method_factory,
-                executor=executor,
                 replicas=replicas,
                 fault_plan=fault_plan,
                 retry_policy=retry_policy,
@@ -206,7 +203,6 @@ class TemporalRankingEngine:
             return TimePartitionedCluster(
                 self.database,
                 num_nodes,
-                executor=executor,
                 replicas=replicas,
                 fault_plan=fault_plan,
                 retry_policy=retry_policy,

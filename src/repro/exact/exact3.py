@@ -51,8 +51,7 @@ def stab_cumulatives_many(view, ts: np.ndarray) -> np.ndarray:
     stab would miss (``t`` outside their span) take the scalar path's
     fallback values — 0 before the span, the total mass after it.
 
-    ``view`` is a :class:`~repro.core.plfstore.CSRView`, so process
-    workers can run this without the full store.
+    ``view`` is a :class:`~repro.core.plfstore.CSRView` of the store.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
     m = view.num_objects
@@ -94,9 +93,9 @@ def exact3_batch_answers(
     """Batched EXACT3 answers for non-knot query times.
 
     Pure function of the CSR view — no devices, no IO counters — so
-    the engine facade can fan contiguous query chunks across pool
-    workers and merge answers in submission order (every backend
-    computes the same elementwise arithmetic, hence identical bits).
+    :meth:`Exact3._query_many` can fan contiguous query chunks across
+    worker threads and merge answers in submission order (the same
+    elementwise arithmetic per row, hence identical bits).
     """
     from repro.approximate.toplists import top_k_rows
 
@@ -227,10 +226,10 @@ class Exact3(RankingMethod):
         charges, and the final LRU contents are identical to the
         scalar loop's.
 
-        ``executor`` fans contiguous query chunks across workers; the
-        chunk task is a pure function of the picklable
-        :class:`~repro.core.plfstore.CSRView`, so serial, thread, and
-        process backends return identical answers in query order.
+        ``executor`` (a :class:`~repro.parallel.ParallelExecutor`)
+        fans contiguous query chunks across worker threads; each chunk
+        is a pure function of the :class:`~repro.core.plfstore.CSRView`,
+        so the answers equal the inline run's, in query order.
         """
         usable = not self.tree.has_overflow and self.database.wants_store
         if not usable:
@@ -276,19 +275,21 @@ class Exact3(RankingMethod):
             self.device.stats.record_reads(int(reads.sum()))
         view = store.csr_view()
         rt1, rt2, rk = t1s[regular], t2s[regular], ks[regular]
-        if executor is None or executor.is_serial or regular.size < 2:
-            answers = exact3_batch_answers(
-                view, self._object_ids, self.aggregate, rt1, rt2, rk
-            )
-        else:
-            from repro.parallel.workers import exact3_topk_chunk
 
+        def answer(bounds):
+            lo, hi = bounds
+            return exact3_batch_answers(
+                view, self._object_ids, self.aggregate,
+                rt1[lo:hi], rt2[lo:hi], rk[lo:hi],
+            )
+
+        if executor is None or executor.is_serial:
+            answers = answer((0, regular.size))
+        else:
             chunks = chunk_ranges(
                 int(regular.size), executor.workers * OVERSUBSCRIPTION
             )
-            state = (view, self._object_ids, self.aggregate, rt1, rt2, rk)
-            with executor.session(state) as session:
-                parts = session.map(exact3_topk_chunk, chunks)
+            parts = executor.map(answer, chunks)
             answers = [result for part in parts for result in part]
         for pos, idx in enumerate(regular):
             results[idx] = answers[pos]

@@ -1,40 +1,22 @@
-"""Shared parallel execution for the index-build fan-out.
+"""Opt-in thread fan-out and the serving tier's process pool.
 
-See :mod:`repro.parallel.executor` for the backend/ determinism
-contract and :mod:`repro.parallel.workers` for the chunk tasks the
-build pipelines fan out.
+See :mod:`repro.parallel.executor` for :class:`ParallelExecutor` and
+:class:`WorkerPool`, and :mod:`repro.parallel.workers` for the
+serving-pool tasks.
 """
 
 from repro.parallel.executor import (
-    BACKEND_ENV,
-    BACKENDS,
-    OVERSUBSCRIPTION,
-    WORKERS_ENV,
     ParallelExecutor,
-    Session,
     WorkerPool,
     chunk_ranges,
-    get_executor,
-    process_context,
-    resolve_backend,
-    resolve_workers,
     weighted_chunk_ranges,
     worker_state,
 )
 
 __all__ = [
-    "BACKEND_ENV",
-    "BACKENDS",
-    "OVERSUBSCRIPTION",
-    "WORKERS_ENV",
     "ParallelExecutor",
-    "Session",
     "WorkerPool",
     "chunk_ranges",
-    "get_executor",
-    "process_context",
-    "resolve_backend",
-    "resolve_workers",
     "weighted_chunk_ranges",
     "worker_state",
 ]

@@ -1,57 +1,30 @@
-"""A shared parallel executor for the index-build fan-out.
+"""Opt-in thread fan-out, and the serving tier's process pool.
 
-The heavy build pipelines — QUERY1's per-left-endpoint top-list
-batches, QUERY2's per-node batches, the BREAKPOINTS2 danger-check and
-crossing kernel pre-passes — are all families of *independent* chunk
-tasks over shared read-only arrays.  This module gives them one
-executor abstraction with three interchangeable backends:
+:class:`ParallelExecutor` fans the two paths that pay for a second
+core — QUERY1's per-left-endpoint top-list batches and EXACT3's
+batched query rows — out over threads (the NumPy selections and sorts
+release the GIL for most of a chunk).  :meth:`ParallelExecutor.map`
+returns results in task order, every task is a pure function of the
+arrays its closure captured, and the caller performs all device
+writes and IO accounting itself, in task order — so fanned-out builds
+and batches are byte-identical to the inline run, and concurrent
+fan-outs share no state (``tests/test_build_equivalence.py``).
 
-* ``serial`` — run chunks inline (the default; zero overhead, and the
-  reference behavior every other backend must reproduce byte for
-  byte),
-* ``thread`` — a ``ThreadPoolExecutor``; NumPy kernels release the GIL
-  only partially, so this backend helps mainly when chunk work is
-  dominated by large vectorized selections and sorts,
-* ``process`` — a ``ProcessPoolExecutor``, forked where the platform
-  allows it so the shared read-only arrays are inherited
-  copy-on-write instead of pickled per task (spawn platforms fall
-  back to pickling the session state once per worker).
-
-Determinism contract
---------------------
-:meth:`Session.map` always returns results in task-submission order,
-and every task is a pure function of ``(session state, task args)``;
-workers never touch a :class:`~repro.storage.device.BlockDevice` or
-:class:`~repro.storage.stats.IOStats`.  The coordinator performs all
-device writes and IO accounting itself, in task order, so fanned-out
-builds produce byte-identical devices, stats, and artifacts on every
-backend — asserted by ``tests/test_build_equivalence.py``.
-
-Backend and worker count resolve from the ``REPRO_EXECUTOR`` and
-``REPRO_WORKERS`` environment variables when not given explicitly, so
-CI can force the process pool across a whole test run.
+:class:`WorkerPool` is the serving pool's long-lived process pool.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.errors import ReproError
 
-#: Recognized backend names, in documentation order.
-BACKENDS = ("serial", "thread", "process")
-
-#: Environment variables consulted by :func:`get_executor`.
-BACKEND_ENV = "REPRO_EXECUTOR"
-WORKERS_ENV = "REPRO_WORKERS"
-
-#: Chunks submitted per worker by the fan-out builders: mild
+#: Chunks submitted per worker by the fan-out paths: mild
 #: oversubscription so one slow chunk cannot serialize the pool.
 OVERSUBSCRIPTION = 4
 
@@ -59,54 +32,14 @@ _WORKER_STATE: Any = None
 
 
 def _set_worker_state(state: Any) -> None:
-    """Install a session's shared state (the pool initializer)."""
+    """Install a pool's shared state (the process initializer)."""
     global _WORKER_STATE
     _WORKER_STATE = state
 
 
 def worker_state() -> Any:
-    """The state installed for the current session's tasks.
-
-    Inside a ``process`` session this is the per-worker copy installed
-    by the pool initializer (forked copy-on-write where available);
-    inside ``serial``/``thread`` sessions it is the coordinator's own
-    object.
-    """
+    """The state installed in this :class:`WorkerPool` worker."""
     return _WORKER_STATE
-
-
-# ----------------------------------------------------------------------
-# resolution
-# ----------------------------------------------------------------------
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """The effective backend name: explicit arg, else env, else serial."""
-    if backend is None:
-        backend = os.environ.get(BACKEND_ENV) or "serial"
-    backend = str(backend).lower()
-    if backend not in BACKENDS:
-        raise ReproError(
-            f"unknown executor backend {backend!r}; choose from {BACKENDS}"
-        )
-    return backend
-
-
-def resolve_workers(workers: Optional[int] = None) -> int:
-    """The effective worker count: explicit arg, else env, else cores."""
-    if workers is None:
-        env = os.environ.get(WORKERS_ENV)
-        if env:
-            try:
-                workers = int(env)
-            except ValueError:
-                raise ReproError(
-                    f"{WORKERS_ENV}={env!r} is not an integer worker count"
-                ) from None
-        else:
-            workers = os.cpu_count() or 1
-    workers = int(workers)
-    if workers < 1:
-        raise ReproError("executor workers must be at least 1")
-    return workers
 
 
 # ----------------------------------------------------------------------
@@ -185,106 +118,52 @@ def process_context() -> multiprocessing.context.BaseContext:
 
 
 # ----------------------------------------------------------------------
-# the executor
+# executors
 # ----------------------------------------------------------------------
-class Session:
-    """One open fan-out scope: shared state plus (for pool backends) a
-    live worker pool.
+class ParallelExecutor:
+    """A worker count: inline at 1, a ``ThreadPoolExecutor`` above.
 
-    Builders open one session per build and call :meth:`map` as many
-    times as they need; the pool (and, for process backends, the
-    per-worker state installation) is paid once per session, not per
-    call.  Always used as a context manager.
+    A thread pool lives only for one :meth:`map` call, so executors
+    can be stored on long-lived method objects without leaking OS
+    resources.
     """
 
-    def __init__(self, executor: "ParallelExecutor", state: Any) -> None:
-        self._executor = executor
-        self._state = state
-        self._pool = None
-        self._saved_state: Any = None
+    def __init__(self, workers: int = 1) -> None:
+        workers = int(workers)
+        if workers < 1:
+            raise ReproError("executor workers must be at least 1")
+        self.workers = workers
 
-    def __enter__(self) -> "Session":
-        backend = self._executor.backend
-        if backend == "process":
-            self._pool = ProcessPoolExecutor(
-                max_workers=self._executor.workers,
-                mp_context=process_context(),
-                initializer=_set_worker_state,
-                initargs=(self._state,),
-            )
-        else:
-            self._saved_state = worker_state()
-            _set_worker_state(self._state)
-            if backend == "thread":
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self._executor.workers
-                )
-        return self
+    @property
+    def is_serial(self) -> bool:
+        """True when chunk tasks run inline on the caller's thread."""
+        return self.workers == 1
 
     def map(self, fn: Callable[[Any], Any], tasks: Sequence[Any]) -> list:
         """Run ``fn`` over ``tasks``; results in task-submission order.
 
-        A task exception propagates to the coordinator (the pool is
-        torn down by the session exit), so a failed fan-out never
-        commits partial results.
+        A task exception propagates to the caller after the pool shuts
+        down, so a failed fan-out never commits partial results.
         """
         tasks = list(tasks)
-        if self._pool is None:
+        if self.is_serial or len(tasks) < 2:
             return [fn(task) for task in tasks]
-        return list(self._pool.map(fn, tasks))
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        if self._executor.backend != "process":
-            _set_worker_state(self._saved_state)
-
-
-class ParallelExecutor:
-    """A backend + worker-count pair; sessions do the actual work.
-
-    Instances are cheap value objects: no pool lives outside an open
-    :meth:`session`, so executors can be stored on long-lived method
-    objects (CLI, benchmarks) without leaking OS resources.
-    """
-
-    def __init__(self, backend: str, workers: int) -> None:
-        self.backend = resolve_backend(backend)
-        self.workers = 1 if self.backend == "serial" else resolve_workers(workers)
-
-    @property
-    def is_serial(self) -> bool:
-        """True when chunk tasks run inline on the coordinator."""
-        return self.backend == "serial"
-
-    def session(self, state: Any = None) -> Session:
-        """Open a fan-out scope sharing ``state`` with all workers."""
-        return Session(self, state)
-
-    def __repr__(self) -> str:
-        return f"ParallelExecutor(backend={self.backend!r}, workers={self.workers})"
+        with ThreadPoolExecutor(max_workers=self.workers) as pool:
+            return list(pool.map(fn, tasks))
 
 
 class WorkerPool:
     """A long-lived, submit-oriented process pool with installed state.
 
-    :class:`Session` fans one build's chunks out and tears the pool
-    down on exit; the serving tier instead needs workers that
-    *outlive* many independent dispatches (a mounted snapshot per
-    worker, re-used across micro-batches).  ``WorkerPool`` is that
-    shape: always process-backed, created once, fed via
-    :meth:`submit`, shut down explicitly.
-
-    ``state`` is installed in every worker through the same
-    ``_set_worker_state`` initializer protocol Session uses, so tasks
-    read it back with :func:`worker_state`.  Workers spawn on demand
-    (the stdlib pool forks/spawns up to ``workers`` processes as
-    submissions arrive), which keeps an idle pool cheap.
+    Serving workers *outlive* many dispatches (a mounted snapshot per
+    worker, re-used across micro-batches).  ``state`` is installed in
+    every worker by the pool initializer, so tasks read it back with
+    :func:`worker_state`; workers spawn on demand as submissions
+    arrive, which keeps an idle pool cheap.
     """
 
     def __init__(self, workers: int, state: Any = None) -> None:
-        self.workers = resolve_workers(workers)
+        self.workers = int(workers)
         self._pool = ProcessPoolExecutor(
             max_workers=self.workers,
             mp_context=process_context(),
@@ -298,10 +177,3 @@ class WorkerPool:
 
     def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
         self._pool.shutdown(wait=wait, cancel_futures=cancel_futures)
-
-
-def get_executor(
-    backend: Optional[str] = None, workers: Optional[int] = None
-) -> ParallelExecutor:
-    """The environment-resolved executor (defaults: serial, all cores)."""
-    return ParallelExecutor(resolve_backend(backend), resolve_workers(workers))

@@ -1,157 +1,12 @@
-"""Picklable chunk tasks run by the shared executor's workers.
-
-Every function here is a pure function of ``(session state, task
-args)`` — workers never touch a block device or IO counters.  Payloads
-travel back to the coordinator, which commits them in task order (the
-determinism contract of :mod:`repro.parallel.executor`), so the stored
-artifacts are byte-identical on every backend.
-
-Session states
---------------
-QUERY1 (:func:`query1_toplists_chunk`):
-    ``(ids, p_t, kmax, nonneg)`` — object ids, the transposed
-    cumulative matrix ``P_T[j, i] = C_i(b_j)``, the list length, and
-    the nonnegative-scores flag.
-QUERY2 (:func:`dyadic_toplists_chunk`):
-    ``(ids, p_t, los, his, kmax, nonneg)`` — as above plus the node
-    ranges in recursion preorder.
-BREAKPOINTS2 (:func:`bp2_cumulative_chunk` /
-:func:`bp2_inverse_chunk` / :func:`bp2_danger_chunk`):
-    ``(view, seg_cum, seg_obj)`` — a :class:`~repro.core.plfstore.
-    CSRView` of the store plus the time-ordered segment stream's
-    prefix masses and object rows.
+"""Serving-pool tasks, run by long-lived
+:class:`~repro.parallel.executor.WorkerPool` workers that each mount
+the pool's snapshot and serve many dispatched micro-batches from it.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
-import numpy as np
-
-from repro.approximate.toplists import TopListBatcher
 from repro.parallel.executor import worker_state
 
-
-def query1_toplists_chunk(
-    bounds: Tuple[int, int],
-) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Top lists for QUERY1 left endpoints ``j`` in ``[lo, hi)``.
-
-    Returns one ``(top_ids, top_scores)`` pair per ``j`` — the exact
-    arrays the serial build's per-``j`` :class:`TopListBatcher` pass
-    produces (one batcher per chunk, identical per-call arithmetic).
-    """
-    lo, hi = bounds
-    ids, p_t, kmax, nonneg = worker_state()
-    r, m = p_t.shape
-    batcher = TopListBatcher(ids, r - 1 - lo, kmax, nonneg)
-    neg_buffer = np.empty((r - 1 - lo, m), dtype=np.float64)
-    lists: List[Tuple[np.ndarray, np.ndarray]] = []
-    for j in range(lo, hi):
-        neg = neg_buffer[: r - 1 - j]
-        np.subtract(p_t[j], p_t[j + 1 :], out=neg)
-        top_ids, top_scores, _ = batcher.top_lists(neg)
-        lists.append((top_ids, top_scores))
-    return lists
-
-
-def dyadic_toplists_chunk(
-    bounds: Tuple[int, int],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Top lists for the QUERY2 preorder node columns ``[lo, hi)``.
-
-    Row results of :meth:`TopListBatcher.top_lists` are per-row
-    independent, so a chunked pass returns exactly the rows
-    ``[lo, hi)`` of the serial all-nodes pass.
-    """
-    lo, hi = bounds
-    ids, p_t, los, his, kmax, nonneg = worker_state()
-    neg = np.ascontiguousarray(p_t[los[lo:hi]] - p_t[his[lo:hi]])
-    batcher = TopListBatcher(ids, hi - lo, kmax, nonneg)
-    top_ids, top_scores, _ = batcher.top_lists(neg)
-    return top_ids, top_scores
-
-
-def exact3_topk_chunk(bounds: Tuple[int, int]) -> list:
-    """Batched EXACT3 answers for the query rows ``[lo, hi)``.
-
-    Session state: ``(view, object_ids, aggregate, t1s, t2s, ks)`` —
-    the picklable CSR view plus the whole (non-boundary) workload.
-    The chunk task is a pure elementwise computation, so every
-    backend returns identical answer bits for its rows.
-    """
-    from repro.exact.exact3 import exact3_batch_answers
-
-    lo, hi = bounds
-    view, object_ids, aggregate, t1s, t2s, ks = worker_state()
-    return exact3_batch_answers(
-        view, object_ids, aggregate, t1s[lo:hi], t2s[lo:hi], ks[lo:hi]
-    )
-
-
-def node_build_chunk(bounds: Tuple[int, int]) -> list:
-    """Built ranking methods for the shard databases ``[lo, hi)``.
-
-    Session state: ``(databases, factory)`` — the per-node shard
-    databases (forked copy-on-write on Linux) and a picklable method
-    factory (a method class, or a ``functools.partial`` binding its
-    parameters).  Index construction is deterministic per shard and
-    writes only to the method's own private device, so every backend
-    produces byte-identical structures; the coordinator re-binds each
-    returned method to its own shard database object.
-
-    Nested build fan-out is forced serial inside pool workers (a
-    worker opening its own pool under ``REPRO_EXECUTOR=process``
-    would stack pools without adding cores); PR 3's backend
-    equivalence keeps the built artifacts byte-identical either way.
-    """
-    from repro.parallel.executor import ParallelExecutor
-
-    lo, hi = bounds
-    databases, factory = worker_state()
-    methods = []
-    for index in range(lo, hi):
-        method = factory()
-        if hasattr(method, "executor"):
-            method.executor = ParallelExecutor("serial", 1)
-        methods.append(method.build(databases[index]))
-    return methods
-
-
-def bp2_cumulative_chunk(task: Tuple[float, int, int]) -> np.ndarray:
-    """``C_i(t)`` for the object range ``[lo, hi)`` (CSR view kernel)."""
-    t, lo, hi = task
-    view = worker_state()[0]
-    return view.cumulative_at(t, lo, hi)
-
-
-def bp2_inverse_chunk(task: Tuple[np.ndarray, int, int]) -> np.ndarray:
-    """Crossing times for the object range ``[lo, hi)``.
-
-    ``targets`` is already the caller's slice for the range, so only
-    ``(hi - lo)`` targets travel to the worker.
-    """
-    targets, lo, hi = task
-    view = worker_state()[0]
-    return view.inverse_cumulative_many(targets, lo, hi)
-
-
-def bp2_danger_chunk(
-    task: Tuple[int, int, np.ndarray, float],
-) -> np.ndarray:
-    """Flagged positions of the danger pre-pass over segments
-    ``[lo, hi)``: where the stream's prefix mass minus the object's
-    snapshotted base reaches ``limit`` (= ``threshold - slack``)."""
-    lo, hi, snapshot, limit = task
-    _, seg_cum, seg_obj = worker_state()
-    window = slice(lo, hi)
-    danger = seg_cum[window] - snapshot[seg_obj[window]] >= limit
-    return lo + np.flatnonzero(danger)
-
-
-# ----------------------------------------------------------------------
-# serving-pool tasks (long-lived WorkerPool workers)
-# ----------------------------------------------------------------------
 #: Per-process mount cache for the serving pool, keyed by pool root:
 #: ``root -> (snapshot_path, epoch, backend)``.  A worker re-uses its
 #: mounted backend across dispatches and re-mounts only when a

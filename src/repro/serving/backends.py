@@ -137,8 +137,7 @@ class ClusterBackend:
     Works for both :class:`~repro.distributed.ObjectPartitionedCluster`
     and :class:`~repro.distributed.TimePartitionedCluster` — extra
     keyword arguments are forwarded to the cluster's ``query_many``
-    (``protocol=`` / ``batch_size=`` for time partitions, ``executor=``
-    for object partitions).  The epoch is the sum of the shard
+    (``protocol=`` / ``batch_size=`` for time partitions).  The epoch is the sum of the shard
     databases' append counters: any shard mutation invalidates every
     cached answer (shards are immutable after construction in the
     current clusters, so this is effectively constant — but the guard
@@ -243,12 +242,6 @@ def backend_from_snapshot(obj, spec: dict):
         backend = InstantBackend(engine)
     elif kind == "cluster":
         kwargs = dict(spec.get("query_kwargs") or {})
-        if kwargs.get("executor") is not None:
-            # Nested fan-out inside a pool worker would stack process
-            # pools without adding cores (the node_build_chunk rule).
-            from repro.parallel import ParallelExecutor
-
-            kwargs["executor"] = ParallelExecutor("serial", 1)
         backend = ClusterBackend(obj, name=spec.get("name"), **kwargs)
         warmups = len(obj.nodes)
     else:

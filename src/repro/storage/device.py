@@ -80,11 +80,11 @@ class BlockDevice:
         self._blocks: Dict[int, Any] = {}
         self._next_id = 0
         self._cache = cache
-        # Parallel build discipline: every mutation must come from the
-        # process that owns the device (the build coordinator).  A
-        # fan-out worker inheriting a forked copy may read payloads,
-        # but an attempted write there would silently diverge from the
-        # coordinator's layout and IO counts — so it raises instead.
+        # Coordinator discipline: every mutation must come from the
+        # process that owns the device.  A pool worker inheriting a
+        # forked copy may read payloads, but an attempted write there
+        # would silently diverge from the coordinator's layout and IO
+        # counts — so it raises instead.
         self._owner_pid = os.getpid()
         if cache is not None:
             cache.attach(self)
@@ -290,7 +290,7 @@ class BlockDevice:
         # A device deliberately unpickled by a top-level process (a
         # saved index loaded by the CLI, a mounted snapshot) belongs to
         # that process.  Inside a multiprocessing child — a spawned
-        # pool worker receiving session state, or a worker re-mounting
+        # pool worker receiving its state, or a worker re-mounting
         # a read-only segment — ownership stays with the original
         # coordinator, matching fork-inherited copies: workers may
         # read, but a write there would silently diverge from the

@@ -34,7 +34,7 @@ import json
 import pickle
 import zlib
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -272,42 +272,6 @@ def write_store_segment(
         [(name, getattr(store, name)) for name in STORE_ARRAYS],
         payload,
     )
-
-
-# Worker-side cache: one map per segment path per process, so repeated
-# task unpickling inside a pool worker costs one dict hit, not one
-# header parse (the arrays themselves are shared OS pages either way).
-_VIEW_CACHE: Dict[str, Any] = {}
-
-
-def open_csr_view(path: str):
-    """Open a store segment as a :class:`~repro.core.plfstore.CSRView`.
-
-    This is the pickle target of segment-backed views: shipping a view
-    to a process-pool worker serializes only this path, and the worker
-    re-mounts the arrays zero-copy here (checksums were verified when
-    the coordinator first opened the segment, so workers skip the
-    verification pass).
-    """
-    from repro.core.plfstore import CSRView
-
-    key = str(path)
-    cached = _VIEW_CACHE.get(key)
-    if cached is not None:
-        return cached
-    segment = open_segment(key, verify=False)
-    view = CSRView(
-        segment["knot_times"],
-        segment["knot_values"],
-        segment["offsets"],
-        segment["prefix_masses"],
-        segment["starts"],
-        segment["ends"],
-        segment["totals"],
-        segment=key,
-    )
-    _VIEW_CACHE[key] = view
-    return view
 
 
 # ----------------------------------------------------------------------

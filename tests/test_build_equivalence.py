@@ -11,14 +11,14 @@ historical scalar path it replaced:
 * APPX2+ rescored answers with unchanged IO counts,
 * the dyadic candidate pools (scores and dict order).
 
-PR 3 adds the executor dimension: the multi-core fan-out of the three
-build pipelines must reproduce the serial artifacts byte for byte on
-every backend (serial, thread pool, process pool — including a
-single-worker process pool and a tie-heavy dataset), and a worker
-failure must propagate without corrupting the device.
+The QUERY1 build and the EXACT3 batch also fan out over threads: the
+fanned-out artifacts and answers must equal the inline run's byte for
+byte (including a tie-heavy dataset and two fan-outs running at once),
+and a worker failure must propagate without corrupting the device.
 """
 
-import multiprocessing
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -29,35 +29,24 @@ from repro.approximate.methods import APPROXIMATE_METHODS, Appx2Plus
 from repro.approximate.query1 import NestedPairIndex
 from repro.approximate.toplists import (
     StoredTopList,
+    TopListBatcher,
     top_kmax_of_column,
     top_kmax_of_columns,
 )
 from repro.core import PiecewiseLinearFunction, TemporalObject
 from repro.core.database import TemporalDatabase
 from repro.core.queries import TopKQuery
-from repro.parallel import get_executor
+from repro.datasets import sample_workload
+from repro.exact import Exact3
+from repro.parallel import ParallelExecutor
 from repro.storage import BlockDevice
 
 from _support import make_random_database, random_intervals
 
-_HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
-
-#: (backend, workers) combinations the fan-out must be exact under.
+#: Worker counts the fan-out must be exact under (inline, two threads).
 EXECUTOR_MATRIX = [
-    pytest.param("serial", 1, id="serial"),
-    pytest.param("thread", 2, id="thread2"),
-    pytest.param(
-        "process",
-        2,
-        id="process2",
-        marks=pytest.mark.skipif(not _HAS_FORK, reason="needs fork"),
-    ),
-    pytest.param(
-        "process",
-        1,
-        id="process1",
-        marks=pytest.mark.skipif(not _HAS_FORK, reason="needs fork"),
-    ),
+    pytest.param(1, id="serial"),
+    pytest.param(2, id="thread2"),
 ]
 
 
@@ -403,119 +392,134 @@ def _assert_same_query1(dev_a, idx_a, dev_b, idx_b, kmax):
         assert scores_a.tobytes() == scores_b.tobytes(), key
 
 
-def _assert_same_query2(dev_a, idx_a, dev_b, idx_b, kmax):
-    assert idx_a.root_id == idx_b.root_id
-    assert idx_a.num_nodes == idx_b.num_nodes
-    assert _device_state(dev_a) == _device_state(dev_b)
-    for node_a, node_b in zip(
-        TestQuery2BuildEquivalence._walk(idx_a),
-        TestQuery2BuildEquivalence._walk(idx_b),
-    ):
-        assert (node_a.lo, node_a.hi) == (node_b.lo, node_b.hi)
-        assert (node_a.left, node_a.right) == (node_b.left, node_b.right)
-        if node_a.inline_rows is not None:
-            ids_a, scores_a = node_a.inline_rows
-            ids_b, scores_b = node_b.inline_rows
-        else:
-            assert node_a.top_list.block_ids == node_b.top_list.block_ids
-            ids_a, scores_a = node_a.top_list.read_top(dev_a, kmax)
-            ids_b, scores_b = node_b.top_list.read_top(dev_b, kmax)
-        assert ids_a.tobytes() == ids_b.tobytes()
-        assert scores_a.tobytes() == scores_b.tobytes()
-
-
-@pytest.mark.parametrize("backend,workers", EXECUTOR_MATRIX)
+@pytest.mark.parametrize("workers", EXECUTOR_MATRIX)
 class TestExecutorBackendEquivalence:
-    """Fan-out determinism: every backend reproduces the serial build."""
+    """Fan-out determinism: the thread fan-out reproduces the inline build."""
 
-    def test_query1_byte_identical(self, setup, backend, workers):
+    def test_query1_byte_identical(self, setup, workers):
         db, bp = setup
         dev_ref = BlockDevice()
-        ref = NestedPairIndex(dev_ref, bp, kmax=15).build(
-            db, executor=get_executor("serial", 1)
-        )
+        ref = NestedPairIndex(dev_ref, bp, kmax=15).build(db)
         dev = BlockDevice()
         idx = NestedPairIndex(dev, bp, kmax=15).build(
-            db, executor=get_executor(backend, workers)
+            db, executor=ParallelExecutor(workers)
         )
         _assert_same_query1(dev_ref, ref, dev, idx, 15)
 
-    def test_query2_byte_identical(self, setup, backend, workers):
-        db, bp = setup
-        dev_ref = BlockDevice()
-        ref = DyadicIndex(dev_ref, bp, kmax=15).build(
-            db, executor=get_executor("serial", 1)
-        )
-        dev = BlockDevice()
-        idx = DyadicIndex(dev, bp, kmax=15).build(
-            db, executor=get_executor(backend, workers)
-        )
-        _assert_same_query2(dev_ref, ref, dev, idx, 15)
-
-    @pytest.mark.parametrize("epsilon", [0.01, 0.0005])
-    def test_breakpoints2_byte_identical(
-        self, setup, backend, workers, epsilon
-    ):
-        db, _ = setup
-        ref = build_breakpoints2(
-            db, epsilon, executor=get_executor("serial", 1)
-        )
-        got = build_breakpoints2(
-            db, epsilon, executor=get_executor(backend, workers)
-        )
-        assert ref.times.tobytes() == got.times.tobytes()
-
-    def test_tie_heavy_dataset_byte_identical(self, backend, workers):
+    def test_tie_heavy_dataset_byte_identical(self, workers):
         db = _tie_heavy_database()
         bp = build_breakpoints1(db, r=11)
         dev_ref = BlockDevice()
-        ref = NestedPairIndex(dev_ref, bp, kmax=10).build(
-            db, executor=get_executor("serial", 1)
-        )
+        ref = NestedPairIndex(dev_ref, bp, kmax=10).build(db)
         dev = BlockDevice()
         idx = NestedPairIndex(dev, bp, kmax=10).build(
-            db, executor=get_executor(backend, workers)
+            db, executor=ParallelExecutor(workers)
         )
         _assert_same_query1(dev_ref, ref, dev, idx, 10)
-        dev_ref2, dev2 = BlockDevice(), BlockDevice()
-        dref = DyadicIndex(dev_ref2, bp, kmax=10).build(
-            db, executor=get_executor("serial", 1)
-        )
-        didx = DyadicIndex(dev2, bp, kmax=10).build(
-            db, executor=get_executor(backend, workers)
-        )
-        _assert_same_query2(dev_ref2, dref, dev2, didx, 10)
 
 
-def _boom_chunk(bounds):
-    raise RuntimeError("injected worker failure")
+def _run_concurrently(jobs, timeout=120.0):
+    """Run zero-argument callables on one thread each; results in order.
+
+    A short switch interval makes the threads interleave finely, so
+    state shared between them would be read by the wrong one.
+    """
+    results = [None] * len(jobs)
+    errors = []
+
+    def run(slot, job):
+        try:
+            results[slot] = job()
+        except Exception as exc:  # surfaced below
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=run, args=(slot, job))
+        for slot, job in enumerate(jobs)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    if errors:
+        raise errors[0]
+    return results
+
+
+class TestConcurrentFanOut:
+    """Two fan-outs running at once share no state.
+
+    Each thread fans its own index build (or query batch) over two
+    worker threads, on a different database; every result must equal
+    the same work run inline on its own.
+    """
+
+    @pytest.fixture(scope="class")
+    def databases(self):
+        return [
+            make_random_database(num_objects=300, avg_segments=12, seed=61),
+            make_random_database(num_objects=500, avg_segments=12, seed=62),
+        ]
+
+    def test_concurrent_query1_builds_match_inline(self, databases):
+        bps = [build_breakpoints1(db, r=40) for db in databases]
+
+        def build(db, bp, executor=None):
+            device = BlockDevice()
+            index = NestedPairIndex(device, bp, kmax=10)
+            return device, index.build(db, executor=executor)
+
+        for _ in range(3):
+            fanned = _run_concurrently([
+                lambda db=db, bp=bp: build(db, bp, ParallelExecutor(2))
+                for db, bp in zip(databases, bps)
+            ])
+            for db, bp, (dev, idx) in zip(databases, bps, fanned):
+                dev_ref, ref = build(db, bp)
+                _assert_same_query1(dev_ref, ref, dev, idx, 10)
+
+    def test_concurrent_exact3_batches_match_inline(self, databases):
+        methods = [Exact3().build(db) for db in databases]
+        batches = [
+            sample_workload(db, count=64, kmax=10, seed=7) for db in databases
+        ]
+        expected = [
+            method.query_many(batch) for method, batch in zip(methods, batches)
+        ]
+        for _ in range(3):
+            got = _run_concurrently([
+                lambda method=method, batch=batch: method.query_many(
+                    batch, executor=ParallelExecutor(2)
+                )
+                for method, batch in zip(methods, batches)
+            ])
+            assert got == expected
 
 
 class TestWorkerFaults:
     """A failed worker must propagate cleanly, device untouched."""
 
-    @pytest.mark.parametrize(
-        "backend",
-        [
-            "thread",
-            pytest.param(
-                "process",
-                marks=pytest.mark.skipif(not _HAS_FORK, reason="needs fork"),
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("workers", [pytest.param(2, id="thread")])
     def test_query1_worker_failure_leaves_device_clean(
-        self, setup, backend, monkeypatch
+        self, setup, workers, monkeypatch
     ):
         db, bp = setup
-        monkeypatch.setattr(
-            "repro.approximate.query1.query1_toplists_chunk", _boom_chunk
-        )
+
+        def boom(self, neg):
+            raise RuntimeError("injected worker failure")
+
+        monkeypatch.setattr(TopListBatcher, "top_lists", boom)
         device = BlockDevice()
         before = (_device_state(device), device.stats.reads)
         with pytest.raises(RuntimeError, match="injected worker failure"):
             NestedPairIndex(device, bp, kmax=15).build(
-                db, executor=get_executor(backend, 2)
+                db, executor=ParallelExecutor(workers)
             )
         assert (_device_state(device), device.stats.reads) == before
         assert device.num_blocks == 0

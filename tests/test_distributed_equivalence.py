@@ -6,17 +6,13 @@ preserved scalar protocols *exactly*:
 * answers — object ids, scores (bitwise), and tie-break order,
 * per-node modeled IO charges over the workload,
 * :class:`~repro.distributed.comm.CommStats` totals (messages, pairs,
-  hence bytes),
-* across serial / thread / process executors, both for the per-node
-  index-build fan-out and for the query fan-out forwarded to the
-  nodes' ``query_many``.
+  hence bytes).
 
 Also covers: the partitioners' disjoint-cover/determinism properties,
 ``num_nodes`` edge cases, the threshold algorithm's per-round comm
 records on tie-heavy data, and the columnar k-way merge.
 """
 
-import multiprocessing
 from functools import partial
 
 import numpy as np
@@ -34,23 +30,8 @@ from repro.distributed import (
     time_range_partition,
 )
 from repro.engine import TemporalRankingEngine
-from repro.parallel import get_executor
 
 from _support import make_random_database
-
-_HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
-
-EXECUTOR_MATRIX = [
-    pytest.param("serial", 1, id="serial"),
-    pytest.param("thread", 2, id="thread2"),
-    pytest.param(
-        "process",
-        2,
-        id="process2",
-        marks=pytest.mark.skipif(not _HAS_FORK, reason="needs fork"),
-    ),
-]
-
 
 @pytest.fixture(scope="module")
 def db():
@@ -164,31 +145,6 @@ class TestObjectPartitionedBatch:
             tie_batch,
         )
 
-    @pytest.mark.parametrize("backend,workers", EXECUTOR_MATRIX)
-    def test_build_fanout_backends_identical(self, db, batch, backend, workers):
-        executor = get_executor(backend, workers)
-        reference = ObjectPartitionedCluster(db, num_nodes=4)
-        fanned = ObjectPartitionedCluster(db, num_nodes=4, executor=executor)
-        for ref_node, fan_node in zip(reference.nodes, fanned.nodes):
-            assert (
-                ref_node.method.device.num_blocks
-                == fan_node.method.device.num_blocks
-            )
-            assert (
-                ref_node.method.io_stats.writes
-                == fan_node.method.io_stats.writes
-            )
-            # Methods answer from the coordinator's shard databases.
-            assert fan_node.method.database is fan_node.database
-        assert reference.query_many(batch) == fanned.query_many(batch)
-
-    @pytest.mark.parametrize("backend,workers", EXECUTOR_MATRIX)
-    def test_query_fanout_backends_identical(self, db, batch, backend, workers):
-        executor = get_executor(backend, workers)
-        cluster = ObjectPartitionedCluster(db, num_nodes=3)
-        reference = cluster.query_many(batch)
-        assert cluster.query_many(batch, executor=executor) == reference
-
     def test_empty_workload(self, db):
         cluster = ObjectPartitionedCluster(db, num_nodes=3)
         assert cluster.query_many(np.empty((0, 3))) == []
@@ -269,18 +225,6 @@ class TestTimePartitionedBatch:
         blocked = cluster.query_many(batch)
         assert blocked == reference
         assert cluster.comm.snapshot() == reference_comm
-
-    @pytest.mark.parametrize("backend,workers", EXECUTOR_MATRIX)
-    def test_build_fanout_backends_identical(self, db, batch, backend, workers):
-        executor = get_executor(backend, workers)
-        reference = TimePartitionedCluster(db, num_nodes=4)
-        fanned = TimePartitionedCluster(db, num_nodes=4, executor=executor)
-        for ref_node, fan_node in zip(reference.nodes, fanned.nodes):
-            assert (
-                ref_node.method.device.num_blocks
-                == fan_node.method.device.num_blocks
-            )
-        assert reference.query_many(batch) == fanned.query_many(batch)
 
 
 # ----------------------------------------------------------------------
@@ -482,19 +426,6 @@ class TestThresholdLockStep:
             dtype=np.float64,
         )
         assert_lockstep_equals_scalar(negative_db, 3, batch, batch_size=4)
-
-    @pytest.mark.parametrize("backend,workers", EXECUTOR_MATRIX)
-    def test_build_fanout_backends_identical(self, db, batch, backend, workers):
-        """Lock-step answers are backend-invariant for the node-build
-        fan-out (the TA index derives from the shard stores, which are
-        byte-identical across executors)."""
-        executor = get_executor(backend, workers)
-        reference = TimePartitionedCluster(db, num_nodes=4)
-        fanned = TimePartitionedCluster(db, num_nodes=4, executor=executor)
-        expected = reference.query_many(batch, protocol="threshold")
-        got = fanned.query_many(batch, protocol="threshold")
-        assert expected == got
-        assert reference.comm == fanned.comm
 
     def test_serving_backend_threshold_protocol(self, db, batch):
         """ClusterBackend forwards protocol="threshold" to query_many."""

@@ -1,4 +1,4 @@
-"""Tests for the engine facade, CSV IO, and streaming monitor."""
+"""Tests for the engine facade and CSV IO."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.core.errors import InvalidQueryError, ReproError
 from repro.datasets.io import load_csv, save_csv
 from repro.engine import TemporalRankingEngine
-from repro.streaming import SlidingWindowMonitor, replay
 
 from _support import make_random_database
 
@@ -111,53 +110,3 @@ class TestEngine:
     def test_repr_and_size(self, engine):
         assert "exact3" in repr(engine)
         assert engine.index_size_bytes > 0
-
-
-class TestStreaming:
-    def test_monitor_matches_bruteforce(self):
-        db = make_random_database(num_objects=12, avg_segments=8, seed=34)
-        monitor = SlidingWindowMonitor(db, window=20.0, k=4)
-        rng = np.random.default_rng(1)
-        end = db.t_max
-        for step in range(25):
-            obj = int(step % 12)
-            end += 0.5
-            value = float(rng.uniform(0, 10))
-            change = monitor.tick(obj, end, value)
-            ref = db.brute_force_top_k(max(db.t_min, end - 20.0), end, 4)
-            assert change.result.object_ids == ref.object_ids
-
-    def test_change_detection(self):
-        db = make_random_database(num_objects=6, avg_segments=6, seed=35)
-        monitor = SlidingWindowMonitor(db, window=10.0, k=2)
-        end = db.t_max
-        first = monitor.tick(0, end + 1.0, 0.0)
-        assert len(first.entered) == 2  # initial ranking counts as entered
-        # Pump object 5 hard: it must enter the top-2 eventually.
-        entered_five = False
-        for i in range(10):
-            end += 1.0
-            change = monitor.tick(5, end, 500.0)
-            if 5 in change.entered:
-                entered_five = True
-        assert entered_five
-        assert 5 in monitor.current().object_ids
-
-    def test_replay_collects_changes(self):
-        db = make_random_database(num_objects=6, avg_segments=6, seed=36)
-        end = db.t_max
-        ticks = [(i % 6, end + 1.0 + step, float(step % 7)) for step, i in
-                 enumerate(range(18))]
-        # Fix times strictly increasing per object.
-        ticks = [(obj, end + 1.0 + step, v) for step, (obj, _, v) in enumerate(ticks)]
-        changes = replay(db, ticks, window=15.0, k=3)
-        assert changes  # at least the initial ranking
-        for change in changes:
-            assert change.changed
-
-    def test_rejects_bad_parameters(self):
-        db = make_random_database(num_objects=4, avg_segments=5, seed=37)
-        with pytest.raises(InvalidQueryError):
-            SlidingWindowMonitor(db, window=0.0, k=2)
-        with pytest.raises(InvalidQueryError):
-            SlidingWindowMonitor(db, window=5.0, k=0)

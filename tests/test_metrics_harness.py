@@ -291,8 +291,9 @@ class TestCheckBaseline:
             ["build", "--m", "40", "--navg", "8", *TINY["build"]]
         )
         _, points = bench.run_build(args)
-        assert not [key for key in points[0] if "parallel" in key]
+        assert not [key for p in points for key in p if "parallel" in key]
         assert "query1_batched_s" in points[0]
+        assert "exact3_q64_s" in points[-1]
 
     def test_smoke_config_is_fixed(self, bench):
         for name, suite in bench.SUITES.items():

@@ -1,4 +1,4 @@
-"""Executor subsystem tests: chunking, resolution, sessions, faults.
+"""Executor subsystem tests: chunking, the thread map, the worker pool.
 
 The build-level byte-identity of fanned-out indexes lives in
 ``test_build_equivalence.py``; this module covers the executor
@@ -6,7 +6,6 @@ machinery itself plus the device's coordinator-ownership guard.
 """
 
 import multiprocessing
-import os
 import pickle
 
 import numpy as np
@@ -14,13 +13,9 @@ import pytest
 
 from repro.core.errors import ReproError
 from repro.parallel import (
-    BACKEND_ENV,
-    WORKERS_ENV,
     ParallelExecutor,
+    WorkerPool,
     chunk_ranges,
-    get_executor,
-    resolve_backend,
-    resolve_workers,
     weighted_chunk_ranges,
     worker_state,
 )
@@ -29,30 +24,11 @@ from repro.storage.device import BlockDevice, BlockDeviceError
 
 _HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
-#: Backends every session-behavior test runs under (process backends
-#: need fork so test-module functions resolve inside workers).
-SESSION_BACKENDS = [
-    pytest.param("serial", 1, id="serial"),
-    pytest.param("thread", 2, id="thread2"),
-    pytest.param(
-        "process",
-        2,
-        id="process2",
-        marks=pytest.mark.skipif(_HAS_FORK is False, reason="needs fork"),
-    ),
-    pytest.param(
-        "process",
-        1,
-        id="process1",
-        marks=pytest.mark.skipif(_HAS_FORK is False, reason="needs fork"),
-    ),
+#: Worker counts every map-behavior test runs under.
+MAP_WORKERS = [
+    pytest.param(1, id="serial"),
+    pytest.param(2, id="thread2"),
 ]
-
-
-def _echo_task(task):
-    """(task, state-sum, worker pid) — enough to check order + state."""
-    state = worker_state()
-    return task, float(np.sum(state)), os.getpid()
 
 
 def _boom_task(task):
@@ -100,57 +76,32 @@ class TestChunkRanges:
         assert weighted_chunk_ranges([], 3) == []
 
 
-class TestResolution:
-    def test_backend_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "process")
-        assert resolve_backend("thread") == "thread"
-        assert resolve_backend() == "process"
-
-    def test_backend_default_serial(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert resolve_backend() == "serial"
-
-    def test_unknown_backend_raises(self):
+class TestExecutorMap:
+    def test_workers_floor(self):
+        assert ParallelExecutor(5).workers == 5
         with pytest.raises(ReproError):
-            resolve_backend("cluster")
-
-    def test_workers_env_and_floor(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "3")
-        assert resolve_workers() == 3
-        assert resolve_workers(5) == 5
-        with pytest.raises(ReproError):
-            resolve_workers(0)
+            ParallelExecutor(0)
 
     def test_serial_executor_reports_one_worker(self):
-        executor = ParallelExecutor("serial", 8)
+        executor = ParallelExecutor(1)
         assert executor.is_serial
         assert executor.workers == 1
+        assert ParallelExecutor().is_serial
 
-
-class TestSessions:
-    @pytest.mark.parametrize("backend,workers", SESSION_BACKENDS)
-    def test_map_preserves_order_and_state(self, backend, workers):
-        executor = get_executor(backend, workers)
+    @pytest.mark.parametrize("workers", MAP_WORKERS)
+    def test_map_preserves_order_and_state(self, workers):
         state = np.arange(5, dtype=np.float64)
         tasks = list(range(20))
-        with executor.session(state) as session:
-            results = session.map(_echo_task, tasks)
-        assert [task for task, _, _ in results] == tasks
-        assert all(total == 10.0 for _, total, _ in results)
+        results = ParallelExecutor(workers).map(
+            lambda task: (task, float(np.sum(state))), tasks
+        )
+        assert [task for task, _ in results] == tasks
+        assert all(total == 10.0 for _, total in results)
 
-    @pytest.mark.parametrize("backend,workers", SESSION_BACKENDS)
-    def test_worker_exception_propagates(self, backend, workers):
-        executor = get_executor(backend, workers)
+    @pytest.mark.parametrize("workers", MAP_WORKERS)
+    def test_worker_exception_propagates(self, workers):
         with pytest.raises(RuntimeError, match="worker failure"):
-            with executor.session(None) as session:
-                session.map(_boom_task, [1, 2, 3])
-
-    def test_thread_session_restores_previous_state(self):
-        executor = get_executor("thread", 2)
-        with executor.session("outer") as outer:
-            assert worker_state() == "outer"
-            outer.map(lambda task: task, [1])
-        assert worker_state() is None
+            ParallelExecutor(workers).map(_boom_task, [1, 2, 3])
 
 
 class TestDeviceCoordinatorGuard:
@@ -159,18 +110,28 @@ class TestDeviceCoordinatorGuard:
         device = BlockDevice()
         device.allocate(np.zeros(2))
         before = (device.num_blocks, device.stats.writes)
-        executor = get_executor("process", 1)
-        with executor.session(device) as session:
-            assert session.map(_mutate_device_task, [0]) == ["guarded"]
+        pool = WorkerPool(1, state=device)
+        try:
+            assert pool.submit(_mutate_device_task, 0).result() == "guarded"
+        finally:
+            pool.shutdown()
         assert (device.num_blocks, device.stats.writes) == before
 
     def test_thread_workers_share_the_coordinator(self):
         # Same process: threads are part of the coordinator and may
         # commit (the builders still funnel writes through one loop).
         device = BlockDevice()
-        executor = get_executor("thread", 2)
-        with executor.session(device) as session:
-            assert session.map(_mutate_device_task, [0]) == ["allocated"]
+
+        def allocate(task):
+            if task:  # one allocating task; the other keeps the pool busy
+                return None
+            try:
+                device.allocate(np.zeros(1))
+            except BlockDeviceError:
+                return "guarded"
+            return "allocated"
+
+        assert ParallelExecutor(2).map(allocate, [0, 1]) == ["allocated", None]
 
     def test_unpickled_device_is_owned_by_its_process(self):
         device = BlockDevice()

@@ -5,15 +5,13 @@ scalar per-query loop *exactly*:
 
 * answers — object ids, scores (bitwise), and tie-break order,
 * total IO charges over the workload (the modeled-cost contract),
-* across serial / thread / process executors for the fan-out paths,
+* inline and on the two-thread fan-out (EXACT3),
 
 for APPX1, APPX2, APPX2+, EXACT2, EXACT3, and both instant engines —
 including degenerate snaps, knot-coincident endpoints, out-of-domain
 intervals, tie-heavy data, duplicate queries, and append-staleness
 fallbacks.
 """
-
-import multiprocessing
 
 import numpy as np
 import pytest
@@ -27,22 +25,14 @@ from repro.datasets import sample_instant_workload, sample_workload
 from repro.datasets.workload import WorkloadBatch
 from repro.exact import Exact2, Exact3
 from repro.instant.engine import InstantBruteForce, InstantIntervalTree
-from repro.parallel import get_executor
+from repro.parallel import ParallelExecutor
 from repro.storage import BlockDevice
 
 from _support import make_random_database
 
-_HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
-
 EXECUTOR_MATRIX = [
-    pytest.param("serial", 1, id="serial"),
-    pytest.param("thread", 2, id="thread2"),
-    pytest.param(
-        "process",
-        2,
-        id="process2",
-        marks=pytest.mark.skipif(not _HAS_FORK, reason="needs fork"),
-    ),
+    pytest.param(1, id="serial"),
+    pytest.param(2, id="thread2"),
 ]
 
 KMAX = 24
@@ -143,12 +133,12 @@ def test_query_many_tie_heavy(tie_db, cls):
     assert_batch_equals_scalar(method, t1s, t2s, ks)
 
 
-@pytest.mark.parametrize("backend,workers", EXECUTOR_MATRIX)
-def test_exact3_executor_matrix(db, backend, workers):
+@pytest.mark.parametrize("workers", EXECUTOR_MATRIX)
+def test_exact3_executor_matrix(db, workers):
     method = Exact3().build(db)
     t1s, t2s, ks = tricky_workload(db, method)
     assert_batch_equals_scalar(
-        method, t1s, t2s, ks, executor=get_executor(backend, workers)
+        method, t1s, t2s, ks, executor=ParallelExecutor(workers)
     )
 
 

@@ -3,8 +3,8 @@
 The contract under test: ``snapshot(path)`` then ``open(path)`` mounts
 the kernel arrays zero-copy (np.memmap), performs **zero** index or
 store builds, and answers every query bit-identically to the original
-engine — scores, tie-breaks, and modeled IO charges — on every
-executor backend.  Durability failures (truncation, corruption,
+engine — scores, tie-breaks, and modeled IO charges — inline and on
+the thread fan-out.  Durability failures (truncation, corruption,
 incompatible versions) surface as clean PersistenceError.
 """
 
@@ -19,7 +19,7 @@ import repro
 from repro.core import buildcount
 from repro.core.queries import TopKQuery
 from repro.engine import TemporalRankingEngine
-from repro.parallel import get_executor
+from repro.parallel import ParallelExecutor, WorkerPool
 from repro.storage.catalog import SCHEMA_VERSION, Catalog
 from repro.storage.device import BlockDevice, BlockDeviceError
 from repro.storage.persistence import PersistenceError
@@ -35,13 +35,8 @@ from _support import make_random_database
 _HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 EXECUTORS = [
-    pytest.param("serial", id="serial"),
-    pytest.param("thread", id="thread"),
-    pytest.param(
-        "process",
-        id="process",
-        marks=pytest.mark.skipif(not _HAS_FORK, reason="needs fork"),
-    ),
+    pytest.param(1, id="serial"),
+    pytest.param(2, id="thread"),
 ]
 
 
@@ -221,9 +216,9 @@ class TestEngineSnapshot:
                 engine.instant_top_k(q.t1, 3), mounted.instant_top_k(q.t1, 3)
             )
 
-    @pytest.mark.parametrize("backend", EXECUTORS)
+    @pytest.mark.parametrize("workers", EXECUTORS)
     def test_mounted_workload_identical_on_every_executor(
-        self, tmp_path, backend
+        self, tmp_path, workers
     ):
         engine, snap = self._snapshot_engine(tmp_path, with_lazy=False)
         mounted = repro.open(snap)
@@ -231,20 +226,9 @@ class TestEngineSnapshot:
             [(q.t1, q.t2, q.k) for q in _queries(engine.database, count=30)]
         )
         expected = engine.top_k_many(batch)
-        got = mounted.top_k_many(batch, executor=get_executor(backend, 2))
+        got = mounted.top_k_many(batch, executor=ParallelExecutor(workers))
         for a, b in zip(expected, got):
             assert _results_equal(a, b)
-
-    def test_mounted_view_pickles_as_a_path(self, tmp_path):
-        _, snap = self._snapshot_engine(tmp_path, with_lazy=False)
-        mounted = repro.open(snap)
-        view = mounted.database.store().csr_view()
-        blob = pickle.dumps(view)
-        # Process fan-out ships the segment path, not the CSR arrays.
-        assert len(blob) < 1024
-        clone = pickle.loads(blob)
-        assert np.array_equal(clone.knot_times, view.knot_times)
-        assert clone.segment == view.segment
 
     def test_snapshot_after_append_captures_post_append_state(self, tmp_path):
         db = make_random_database(num_objects=10, avg_segments=6, seed=30)
@@ -296,29 +280,18 @@ class TestWorkerGuard:
         device = BlockDevice()
         device.allocate(np.full(4, 2.5))
         blob = pickle.dumps(device)
-        executor = get_executor("process", 1)
-        with executor.session(None) as session:
-            assert session.map(_unpickle_then_mutate, [blob]) == ["guarded"]
-            assert session.map(_unpickle_then_read, [blob]) == [10.0]
+        pool = WorkerPool(1)
+        try:
+            assert pool.submit(_unpickle_then_mutate, blob).result() == "guarded"
+            assert pool.submit(_unpickle_then_read, blob).result() == 10.0
+        finally:
+            pool.shutdown()
 
     def test_main_process_unpickle_takes_ownership(self):
         device = BlockDevice()
         device.allocate(np.zeros(2))
         clone = pickle.loads(pickle.dumps(device))
         assert clone.allocate(np.zeros(2)) == 1  # not guarded
-
-    @pytest.mark.skipif(not _HAS_FORK, reason="needs fork")
-    def test_process_fanout_over_a_mounted_store(self, tmp_path):
-        db = make_random_database(num_objects=20, avg_segments=8, seed=40)
-        TemporalRankingEngine(db).snapshot(tmp_path / "snap")
-        mounted = repro.open(tmp_path / "snap")
-        batch = np.asarray(
-            [(q.t1, q.t2, q.k) for q in _queries(mounted.database, count=25)]
-        )
-        serial = mounted.top_k_many(batch)
-        fanned = mounted.top_k_many(batch, executor=get_executor("process", 2))
-        for a, b in zip(serial, fanned):
-            assert _results_equal(a, b)
 
 
 # ----------------------------------------------------------------------
