@@ -10,9 +10,10 @@ cover, each on a generated Temp-like database:
   BREAKPOINTS1, and BREAKPOINTS2 by the paper's efficient sweep vs the
   kernel-batched reset baseline;
 * ``build``  — per breakpoint budget ``r``: QUERY1 / QUERY2 /
-  BREAKPOINTS2 builds, scalar vs batched, and the QUERY1 build fanned
-  out over ``--workers`` threads; plus a 64-row EXACT3 ``top_k_many``
-  inline vs fanned out (the ``q=64`` point);
+  BREAKPOINTS2 builds, scalar vs batched (inline), and the QUERY1
+  build under its automatic two-thread split rule; plus 16- and
+  64-row EXACT3 ``top_k_many`` batches, forced inline vs the
+  automatic split (the ``q=16`` and ``q=64`` points);
 * ``chaos``  — replicated object- and time-partitioned clusters served
   query by query at a sweep of per-call fault rates (transient rate
   ``x``, permanent crash rate ``x / 40``, fresh cluster per rate):
@@ -42,6 +43,7 @@ gating).  A failed contract check exits 1 whatever the baseline says.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import subprocess
@@ -116,14 +118,29 @@ def run_kernel(args) -> Tuple[dict, List[dict]]:
 # ----------------------------------------------------------------------
 # build
 # ----------------------------------------------------------------------
-def build_point(database, r: int, kmax: int, repeats: int, executor) -> dict:
-    """Scalar / batched / fanned-out build timings at one budget ``r``.
+@contextlib.contextmanager
+def inline():
+    """The automatic two-thread splits (EXACT3 batches, the QUERY1
+    build) switched off: their thresholds moved out of reach."""
+    from repro.approximate import query1
+    from repro.exact import exact3
 
-    Batched and fanned-out builds are best-of-``repeats``; the scalar
+    saved = query1.SPLIT_WORK, exact3.SPLIT_WORK
+    query1.SPLIT_WORK = exact3.SPLIT_WORK = float("inf")
+    try:
+        yield
+    finally:
+        query1.SPLIT_WORK, exact3.SPLIT_WORK = saved
+
+
+def build_point(database, r: int, kmax: int, repeats: int, split: bool) -> dict:
+    """Scalar / batched / automatic-split build timings at one budget ``r``.
+
+    Batched builds run inline, best-of-``repeats``; the scalar
     references (seconds each at r~200) run once and only feed the
-    speedup columns.  Only the QUERY1 build fans out; ``executor`` is
-    None when fan-out is not measured, and the ``query1_parallel_*``
-    keys are then absent.
+    speedup columns.  With ``split`` the QUERY1 build runs again under
+    its automatic split rule (``query1_parallel_*``, equal to inline
+    below the rule's threshold); without it those keys are absent.
     """
     from repro.approximate.breakpoints import (
         build_breakpoints1,
@@ -152,15 +169,15 @@ def build_point(database, r: int, kmax: int, repeats: int, executor) -> dict:
         "bp2_epsilon": epsilon,
     }
     for name, build in builders.items():
-        batched_s, built = timed(lambda: build(batched=True), repeats)
+        with inline():
+            batched_s, built = timed(lambda: build(batched=True), repeats)
         scalar_s, _ = timed(lambda: build(batched=False))
         point[f"{name}_batched_s"] = batched_s
         point[f"{name}_scalar_s"] = scalar_s
         point[f"{name}_speedup"] = scalar_s / max(batched_s, 1e-12)
-    if executor is not None:
+    if split:
         parallel_s, _ = timed(
-            lambda: builders["query1"](batched=True, executor=executor),
-            repeats,
+            lambda: builders["query1"](batched=True), repeats
         )
         point["query1_parallel_s"] = parallel_s
         point["query1_parallel_speedup"] = point["query1_batched_s"] / max(
@@ -170,46 +187,46 @@ def build_point(database, r: int, kmax: int, repeats: int, executor) -> dict:
     return point
 
 
-def exact3_point(database, kmax: int, repeats: int, seed: int, executor) -> dict:
-    """A 64-row EXACT3 ``top_k_many``, inline and (with ``executor``)
-    fanned out; the ``exact3_q64_parallel_*`` keys need the cores."""
+def exact3_point(
+    engine, rows: int, kmax: int, repeats: int, seed: int, split: bool
+) -> dict:
+    """A ``rows``-row EXACT3 ``top_k_many``, inline and (with
+    ``split``) under the automatic split rule."""
     from repro.datasets import sample_workload
-    from repro.engine import TemporalRankingEngine
 
-    engine = TemporalRankingEngine(database)
-    batch = sample_workload(database, count=64, kmax=kmax, seed=seed)
-    point = {"label": "q=64"}
-    point["exact3_q64_s"], _ = timed(lambda: engine.top_k_many(batch), repeats)
-    if executor is not None:
-        parallel_s, _ = timed(
-            lambda: engine.top_k_many(batch, executor=executor), repeats
-        )
-        point["exact3_q64_parallel_s"] = parallel_s
-        point["exact3_q64_parallel_speedup"] = point["exact3_q64_s"] / max(
+    batch = sample_workload(engine.database, count=rows, kmax=kmax, seed=seed)
+    key = f"exact3_q{rows}"
+    point = {"label": f"q={rows}"}
+    with inline():
+        point[f"{key}_s"], _ = timed(lambda: engine.top_k_many(batch), repeats)
+    if split:
+        parallel_s, _ = timed(lambda: engine.top_k_many(batch), repeats)
+        point[f"{key}_parallel_s"] = parallel_s
+        point[f"{key}_parallel_speedup"] = point[f"{key}_s"] / max(
             parallel_s, 1e-12
         )
     return point
 
 
 def run_build(args) -> Tuple[dict, List[dict]]:
-    from repro.parallel import ParallelExecutor
+    from repro.engine import TemporalRankingEngine
 
-    # Decided at measurement time: with fewer cores than workers a
-    # fan-out point times executor overhead, not fan-out, so it is
-    # left out of the report (and the gate skips keys absent on
-    # either side) rather than recorded and flagged.
-    executor = None
-    if 1 < args.workers <= (os.cpu_count() or 1):
-        executor = ParallelExecutor(args.workers)
+    # Decided at measurement time: on one core the rule never splits,
+    # so a split point would time the inline path twice; it is left
+    # out of the report (and the gate skips keys absent on either
+    # side) rather than recorded as a 1x "speedup".
+    split = (os.cpu_count() or 1) >= 2
     database = _database(args)
     points = [
-        build_point(database, r, args.kmax, args.repeats, executor)
+        build_point(database, r, args.kmax, args.repeats, split)
         for r in args.r_list
     ]
-    points.append(
-        exact3_point(database, args.kmax, args.repeats, args.seed, executor)
+    engine = TemporalRankingEngine(database)
+    points.extend(
+        exact3_point(engine, rows, args.kmax, args.repeats, args.seed, split)
+        for rows in (16, 64)
     )
-    return _config(args, "r_list", "kmax", "repeats", "workers"), points
+    return _config(args, "r_list", "kmax", "repeats"), points
 
 
 # ----------------------------------------------------------------------
@@ -370,14 +387,12 @@ SUITES = {
             "query1_parallel_s",
         ),
         gated_ratios=(
-            "query1_speedup", "bp2_speedup",
-            "query1_parallel_speedup", "exact3_q64_parallel_speedup",
+            "query1_speedup", "bp2_speedup", "query1_parallel_speedup",
+            "exact3_q16_parallel_speedup", "exact3_q64_parallel_speedup",
         ),
-        # workers=1: at this size a fan-out times thread start-up, not
-        # work, which a cross-machine 2x gate cannot hold.
-        smoke=dict(
-            m=300, navg=30, kmax=60, r_list=[40], repeats=3, workers=1
-        ),
+        # Every smoke shape sits below both split thresholds, so the
+        # split points time the inline path (ratios ~1).
+        smoke=dict(m=300, navg=30, kmax=60, r_list=[40], repeats=3),
     ),
     "chaos": Suite(
         run_chaos,
@@ -459,10 +474,6 @@ def parse_args(argv=None) -> argparse.Namespace:
         help="comma-separated breakpoint budgets",
     )
     build.add_argument("--kmax", type=int, default=200)
-    build.add_argument(
-        "--workers", type=int, default=2,
-        help="fan-out threads; measured only when the host has the cores",
-    )
 
     chaos = suites.add_parser("chaos", parents=[shared])
     chaos.add_argument("--nodes", type=int, default=4)

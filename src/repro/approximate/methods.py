@@ -31,7 +31,6 @@ from repro.core.queries import TopKQuery
 from repro.core.results import TopKResult, top_k_from_arrays
 from repro.exact.base import RankingMethod
 from repro.exact.exact2 import Exact2
-from repro.parallel.executor import ParallelExecutor
 from repro.storage.cache import LRUCache
 from repro.storage.device import BlockDevice
 from repro.storage.stats import IOStats
@@ -63,7 +62,6 @@ class _ApproximateBase(RankingMethod):
         breakpoints: Optional[Breakpoints] = None,
         block_bytes: int = 4096,
         cache_blocks: int = 0,
-        executor: Optional[ParallelExecutor] = None,
     ) -> None:
         super().__init__()
         if breakpoints is None and (epsilon is None) == (r is None):
@@ -71,9 +69,6 @@ class _ApproximateBase(RankingMethod):
         self.epsilon = epsilon
         self.r_budget = r
         self.kmax = kmax
-        #: Thread fan-out for the QUERY1 build (APPX1, APPX1-B); None
-        #: builds inline.  QUERY2 builds always run inline.
-        self.executor = executor
         self._prebuilt = breakpoints
         self._stats = IOStats()
         self._cache = LRUCache(cache_blocks) if cache_blocks > 0 else None
@@ -153,12 +148,12 @@ class Appx1(_ApproximateBase):
     def _build(self, database: TemporalDatabase) -> None:
         self.breakpoints = self._build_breakpoints(database)
         self.index = NestedPairIndex(self.device, self.breakpoints, self.kmax)
-        self.index.build(database, executor=self.executor)
+        self.index.build(database)
 
     def _query(self, query: TopKQuery) -> TopKResult:
         return self.index.query(query.t1, query.t2, query.k)
 
-    def _query_many(self, t1s, t2s, ks, executor=None):
+    def _query_many(self, t1s, t2s, ks):
         return self.index.query_many(t1s, t2s, ks)
 
 
@@ -183,7 +178,7 @@ class Appx2(_ApproximateBase):
     def _query(self, query: TopKQuery) -> TopKResult:
         return self.index.query(query.t1, query.t2, query.k)
 
-    def _query_many(self, t1s, t2s, ks, executor=None):
+    def _query_many(self, t1s, t2s, ks):
         return self.index.query_many(t1s, t2s, ks)
 
     def candidate_set(self, query: TopKQuery) -> Dict[int, float]:
@@ -227,7 +222,7 @@ class Appx2Plus(Appx2):
         exact = self.rescorer.score_many(ids, query.t1, query.t2)
         return top_k_from_arrays(ids, exact, query.k)
 
-    def _query_many(self, t1s, t2s, ks, executor=None):
+    def _query_many(self, t1s, t2s, ks):
         """Batched APPX2+: one rescoring pass for the whole workload.
 
         Candidate pools come from the dyadic structure's batch

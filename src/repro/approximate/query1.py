@@ -26,8 +26,8 @@ from repro.storage.device import BlockDevice
 from repro.btree.batch import modeled_successor_many, supports_model
 from repro.btree.tree import BPlusTree
 from repro.parallel.executor import (
-    OVERSUBSCRIPTION,
-    ParallelExecutor,
+    split_threads,
+    thread_map,
     weighted_chunk_ranges,
 )
 from repro.approximate.breakpoints import Breakpoints
@@ -38,6 +38,14 @@ from repro.approximate.toplists import (
     cumulative_matrix_T,
     top_kmax_of_column,
 )
+
+#: The batched build splits its left endpoints over two threads when
+#: (stored lists) x (objects) reaches this.  Measured on 2 vCPUs
+#: (Temp data, two weighted chunks vs inline, best of 3, two runs):
+#: 1.5-1.7x at m=10^4 (r=100 and r=229) and at m=1500 (r=230); at
+#: m=1000 (k_max=200) 1.2-1.6x at r=201, 1.0-1.05x at r=101 and
+#: 0.8-1.5x at r=51, so those builds stay inline.
+SPLIT_WORK = 1 << 25
 
 
 class NestedPairIndex:
@@ -61,7 +69,6 @@ class NestedPairIndex:
         self,
         database: TemporalDatabase,
         batched: bool = True,
-        executor: Optional[ParallelExecutor] = None,
     ) -> "NestedPairIndex":
         """Materialize the ``r(r-1)/2`` interval lists and the trees.
 
@@ -74,33 +81,33 @@ class NestedPairIndex:
         identically laid-out device (the equivalence suite asserts
         this).
 
-        ``executor`` (a :class:`~repro.parallel.ParallelExecutor`;
-        default inline) computes the independent per-left-endpoint
-        batches on worker threads; device writes and tree wiring stay
-        on the caller, in ``j`` order, so the index is byte-identical
-        to the inline build.
+        A batched build with ``r(r-1)/2 * m >= SPLIT_WORK`` computes
+        the independent per-left-endpoint batches on two threads
+        (:func:`~repro.parallel.executor.split_threads`); device
+        writes and tree wiring stay on the caller, in ``j`` order, so
+        the index is byte-identical to the inline build.
         """
         times = self.breakpoints.times
         r = times.size
         if batched:
             ids, p_t = cumulative_matrix_T(database, times)
             nonneg = bool(database.store().knot_values.min() >= 0.0)
-            if executor is None or executor.is_serial:
+            threads = split_threads(r * (r - 1) // 2 * ids.size, SPLIT_WORK)
+            if threads == 1:
                 lists = self._top_lists(ids, p_t, nonneg, 0, r - 1)
             else:
-                # Chunks are balanced by each left endpoint's row count
-                # (``j`` owns ``r - 1 - j`` lists) and mildly
-                # oversubscribed so one slow chunk cannot serialize the
-                # pool; results flatten back in ``j`` order.
+                # Chunks are balanced by each left endpoint's list
+                # count (``j`` owns ``r - 1 - j`` lists); results
+                # flatten back in ``j`` order.
                 chunks = weighted_chunk_ranges(
-                    np.arange(r - 1, 0, -1, dtype=np.float64),
-                    executor.workers * OVERSUBSCRIPTION,
+                    np.arange(r - 1, 0, -1, dtype=np.float64), threads
                 )
-                parts = executor.map(
+                parts = thread_map(
                     lambda bounds: list(
                         self._top_lists(ids, p_t, nonneg, *bounds)
                     ),
                     chunks,
+                    threads,
                 )
                 lists = chain.from_iterable(parts)
         else:

@@ -28,21 +28,18 @@ from repro.datasets import (
     sample_workload,
 )
 from repro.exact import Exact1, Exact2, Exact3
-from repro.parallel import ParallelExecutor
 from repro.storage.persistence import read_payload, write_payload
 
 _EXACT_METHODS = {"exact1": Exact1, "exact2": Exact2, "exact3": Exact3}
 
 
-def _make_method(name: str, epsilon: float, kmax: int, executor=None):
+def _make_method(name: str, epsilon: float, kmax: int):
     lower = name.lower()
     if lower in _EXACT_METHODS:
         return _EXACT_METHODS[lower]()
     upper = name.upper().replace("PLUS", "+")
     if upper in APPROXIMATE_METHODS:
-        return APPROXIMATE_METHODS[upper](
-            epsilon=epsilon, kmax=kmax, executor=executor
-        )
+        return APPROXIMATE_METHODS[upper](epsilon=epsilon, kmax=kmax)
     valid = sorted(_EXACT_METHODS) + sorted(APPROXIMATE_METHODS)
     raise SystemExit(f"unknown method {name!r}; choose from {valid}")
 
@@ -65,9 +62,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     db = read_payload(args.database)
     if not isinstance(db, TemporalDatabase):
         raise SystemExit(f"{args.database} does not contain a database")
-    method = _make_method(
-        args.method, args.epsilon, args.kmax, ParallelExecutor(args.workers)
-    )
+    method = _make_method(args.method, args.epsilon, args.kmax)
     method.build(db)
     written = write_payload(args.output, method)
     print(
@@ -97,13 +92,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     )
     exact = exact_reference(db, queries)
     rows = []
-    executor = ParallelExecutor(args.workers)
     methods = [Exact1(), Exact2(), Exact3()]
     for name in ("APPX1", "APPX2", "APPX2+"):
         methods.append(
-            APPROXIMATE_METHODS[name](
-                epsilon=args.epsilon, kmax=args.kmax, executor=executor
-            )
+            APPROXIMATE_METHODS[name](epsilon=args.epsilon, kmax=args.kmax)
         )
     for method in methods:
         report = evaluate_method(
@@ -125,9 +117,8 @@ def cmd_workload(args: argparse.Namespace) -> int:
     batch = sample_workload(
         database, count=args.count, kmax=args.kmax, seed=args.seed
     )
-    executor = ParallelExecutor(args.workers)
     start = time.perf_counter()
-    results = method.query_many(batch, executor=executor)
+    results = method.query_many(batch)
     batched_seconds = time.perf_counter() - start
     print(
         f"{method.name}: {len(batch)} queries in {batched_seconds * 1e3:.1f} ms "
@@ -601,16 +592,6 @@ def cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_workers_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker threads for the QUERY1 build and EXACT3 batches "
-        "(default: 1, inline)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -632,7 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--epsilon", type=float, default=1e-4)
     p_build.add_argument("--kmax", type=int, default=50)
     p_build.add_argument("-o", "--output", required=True)
-    _add_workers_option(p_build)
     p_build.set_defaults(func=cmd_build)
 
     p_query = sub.add_parser("query", help="run one aggregate top-k query")
@@ -650,7 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--epsilon", type=float, default=1e-4)
     p_cmp.add_argument("--kmax", type=int, default=50)
     p_cmp.add_argument("--seed", type=int, default=0)
-    _add_workers_option(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_load = sub.add_parser(
@@ -665,7 +644,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also run the scalar loop and check answers are identical",
     )
-    _add_workers_option(p_load)
     p_load.set_defaults(func=cmd_workload)
 
     p_cluster = sub.add_parser(

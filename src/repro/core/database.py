@@ -383,9 +383,10 @@ class TemporalDatabase:
         delta_value = np.zeros(st.num_knots, dtype=np.float64)
         delta_value[first] += st.knot_values[first]
         delta_value[last] -= st.knot_values[last]
+        slopes = st.csr_view().stab_slopes[st.seg_left_knot]
         delta_slope = np.zeros(st.num_knots, dtype=np.float64)
-        delta_slope[st.seg_left_knot] += st.slopes
-        delta_slope[st.seg_left_knot + 1] -= st.slopes
+        delta_slope[st.seg_left_knot] += slopes
+        delta_slope[st.seg_left_knot + 1] -= slopes
         events = np.stack([st.knot_times, delta_value, delta_slope], axis=1)
         order = np.argsort(events[:, 0], kind="stable")
         return events[order]

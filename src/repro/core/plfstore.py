@@ -10,8 +10,8 @@ attribute/``searchsorted`` overhead per object per operation.
 
 :class:`PLFStore` packs all objects' knots into flat CSR-style NumPy
 arrays (concatenated ``knot_times`` / ``knot_values``, per-object
-``offsets``, precomputed concatenated ``prefix_masses`` and per-segment
-``slopes``) and answers the question for all objects in a handful of
+``offsets``, precomputed concatenated ``prefix_masses`` and per-knot
+chord slopes) and answers the question for all objects in a handful of
 vectorized operations:
 
 * :meth:`cumulative_at` — ``C_i(t)`` for every object: one batched
@@ -105,6 +105,7 @@ class CSRView:
         "ends",
         "totals",
         "_knot_obj",
+        "_stab_slopes",
     )
 
     def __init__(
@@ -124,14 +125,31 @@ class CSRView:
         self.starts = starts
         self.ends = ends
         self.totals = totals
-        # Knot -> object row map of :meth:`locate_many`; derived from
-        # ``offsets`` on first use.
+        # Knot -> object row map of :meth:`locate_many` and the
+        # per-knot :attr:`stab_slopes`; derived on first use.
         self._knot_obj: Optional[np.ndarray] = None
+        self._stab_slopes: Optional[np.ndarray] = None
 
     @property
     def num_objects(self) -> int:
         """``m``."""
         return int(self.offsets.size - 1)
+
+    @property
+    def stab_slopes(self) -> np.ndarray:
+        """Chord slope ``(v[j+1] - v[j]) / (t[j+1] - t[j])`` of the
+        piece starting at each knot ``j`` (0 for a zero-width piece;
+        meaningless at an object's last knot).  Elementwise the slope
+        expression of the EXACT3 stab and the cumulative kernels, so
+        gathering it is bit-identical to computing it per pair."""
+        if self._stab_slopes is None:
+            width = np.diff(self.knot_times)
+            self._stab_slopes = np.where(
+                width > 0,
+                np.diff(self.knot_values) / np.where(width > 0, width, 1.0),
+                0.0,
+            )
+        return self._stab_slopes
 
     def _locate(self, tc: np.ndarray) -> np.ndarray:
         """Flat knot index of the segment containing one clamped time.
@@ -327,7 +345,6 @@ class PLFStore:
         "totals",
         "_seg_left_knot",
         "_seg_obj",
-        "_slopes",
         "_absolute",
         "_csr",
         "_knot_set",
@@ -369,7 +386,6 @@ class PLFStore:
     def _init_lazy(self, segment: Optional[str]) -> None:
         self._seg_left_knot: Optional[np.ndarray] = None
         self._seg_obj: Optional[np.ndarray] = None
-        self._slopes: Optional[np.ndarray] = None
         self._absolute: Optional["PLFStore"] = None
         self._csr: Optional[CSRView] = None
         self._knot_set: Optional[np.ndarray] = None
@@ -452,8 +468,6 @@ class PLFStore:
             + self.ends.nbytes
             + self.totals.nbytes
         )
-        if self._slopes is not None:
-            total += self._slopes.nbytes
         if self._seg_left_knot is not None:
             total += self._seg_left_knot.nbytes + self._seg_obj.nbytes
         return total
@@ -477,10 +491,6 @@ class PLFStore:
         self._seg_obj = np.repeat(
             np.arange(self.num_objects, dtype=np.int64), counts
         )
-        left = self._seg_left_knot
-        self._slopes = (
-            self.knot_values[left + 1] - self.knot_values[left]
-        ) / (self.knot_times[left + 1] - self.knot_times[left])
 
     @property
     def seg_left_knot(self) -> np.ndarray:
@@ -495,13 +505,6 @@ class PLFStore:
         if self._seg_obj is None:
             self._build_segments()
         return self._seg_obj
-
-    @property
-    def slopes(self) -> np.ndarray:
-        """Per-segment slopes ``w_{i,l}`` (length ``N``)."""
-        if self._slopes is None:
-            self._build_segments()
-        return self._slopes
 
     @property
     def seg_t0(self) -> np.ndarray:
@@ -608,19 +611,18 @@ class PLFStore:
         """One chunk of :meth:`cumulative_at_many`.
 
         Identical arithmetic to :meth:`CSRView._cumulative_clamped` —
-        the chord slope comes from the precomputed per-segment
-        :attr:`slopes` (the very same ``(v1 - v0) / (t1 - t0)``
-        division), so every float is bit-identical to the single-time
-        path.
+        the chord slope is gathered from :attr:`CSRView.stab_slopes`
+        (the very same ``(v1 - v0) / (t1 - t0)`` division, as knot
+        times strictly increase within an object), so every float is
+        bit-identical to the single-time path.
         """
-        j = self.csr_view().locate_many(ts)
+        view = self.csr_view()
+        j = view.locate_many(ts)
         col = ts[:, None]
         tc = np.clip(col, self.starts, self.ends)
         t0 = self.knot_times[j]
         v0 = self.knot_values[j]
-        # Segment index of knot j on object i is j - i (each earlier
-        # object contributes exactly one non-segment-left final knot).
-        w = self.slopes[j - np.arange(self.num_objects, dtype=np.int64)]
+        w = view.stab_slopes[j]
         # In-place evaluation of prefix[j] + 0.5 * dt * (v0 + v_t),
         # v_t = v0 + w * dt — the same association order as
         # _cumulative_clamped, with the (q, m) temporaries reused.

@@ -84,10 +84,7 @@ class TemporalRankingEngine:
         return self._approximate.query(query)
 
     def top_k_many(
-        self,
-        queries,
-        approximate: bool = False,
-        executor=None,
+        self, queries, approximate: bool = False
     ) -> List[TopKResult]:
         """Batched :meth:`top_k`: answer a whole workload at once.
 
@@ -97,17 +94,15 @@ class TemporalRankingEngine:
         array of ``(t1, t2, k)`` rows, or a list of
         :class:`TopKQuery`.  Answers (scores, tie-breaks, IO charges)
         are identical to looping :meth:`top_k`, but the workload is
-        served through the vectorized ``query_many`` pipelines.
-
-        ``executor`` (a :class:`repro.parallel.ParallelExecutor`)
-        optionally fans EXACT3 query chunks across worker threads; the
-        answers equal the inline run's.
+        served through the vectorized ``query_many`` pipelines; an
+        exact batch large enough to pay for it splits over two threads
+        on its own (:func:`repro.exact.exact3.exact3_batch_answers`).
         """
         # Normalize once; the array-attribute batch is forwarded
         # as-is (no float round-trip of ks, no (q, 3) copy).
         batch = WorkloadBatch(*workload_arrays(queries))
         if not approximate:
-            return self.exact.query_many(batch, executor=executor)
+            return self.exact.query_many(batch)
         if len(batch) and int(batch.ks.max()) > self.kmax:
             raise InvalidQueryError(
                 f"approximate queries support k <= kmax ({self.kmax})"

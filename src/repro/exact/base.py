@@ -81,7 +81,7 @@ class RankingMethod(ABC):
         delta = stats.snapshot() - before
         return QueryCost(ios=delta.reads + delta.writes, seconds=seconds, result=result)
 
-    def query_many(self, queries, executor=None) -> List[TopKResult]:
+    def query_many(self, queries) -> List[TopKResult]:
         """Answer a whole workload of ``top-k(t1, t2, sum)`` queries.
 
         ``queries`` is anything :func:`repro.core.queries.
@@ -93,20 +93,13 @@ class RankingMethod(ABC):
         with a vectorized pipeline override :meth:`_query_many` and
         fall back to the loop whenever a precondition for the modeled
         IO accounting fails (buffer pools, pending appends).
-
-        ``executor`` is forwarded to pipelines that can fan query
-        chunks across workers (EXACT3); others ignore it.
         """
         self._check_built()
         t1s, t2s, ks = workload_arrays(queries)
-        return self._query_many(t1s, t2s, ks, executor)
+        return self._query_many(t1s, t2s, ks)
 
     def _query_many(
-        self,
-        t1s: np.ndarray,
-        t2s: np.ndarray,
-        ks: np.ndarray,
-        executor=None,
+        self, t1s: np.ndarray, t2s: np.ndarray, ks: np.ndarray
     ) -> List[TopKResult]:
         """Default batched path: the scalar per-query loop."""
         return self._scalar_loop(t1s, t2s, ks)

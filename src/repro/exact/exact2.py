@@ -368,7 +368,7 @@ class Exact2(RankingMethod):
             scores[pos] = self.aggregate.finalize(raw, query.t1, query.t2)
         return top_k_from_arrays(ids, scores, query.k)
 
-    def _query_many(self, t1s, t2s, ks, executor=None):
+    def _query_many(self, t1s, t2s, ks):
         """Batched EXACT2: one ``integrals_many`` pass over the workload.
 
         The scalar ``_query`` already answers from the store kernel

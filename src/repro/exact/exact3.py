@@ -25,10 +25,7 @@ from repro.core.plfstore import isin_sorted, row_chunks
 from repro.core.queries import TopKQuery
 from repro.core.results import TopKResult, top_k_from_arrays
 from repro.exact.base import RankingMethod
-from repro.parallel.executor import (
-    OVERSUBSCRIPTION,
-    chunk_ranges,
-)
+from repro.parallel.executor import chunk_ranges, split_threads, thread_map
 from repro.storage.cache import LRUCache
 from repro.storage.device import BlockDevice
 from repro.storage.stats import IOStats
@@ -39,6 +36,16 @@ from repro.intervaltree.tree import ExternalIntervalTree
 _VALUE_COLUMNS = 4
 
 
+#: W*: an EXACT3 batch of ``rows`` queries over ``m`` objects splits
+#: over two threads when ``rows * m`` reaches this.  Measured on 2
+#: vCPUs (Temp data, n_avg=40, split vs inline, three runs): 64 rows
+#: gain 1.85-2.05x at m=10^4 and 1.9-2.1x at m=2500, 16 rows at m=10^4
+#: 1.4-1.5x; at rows*m = 8e4 the gain is 1.1-1.6x, and below 4e4 the
+#: split loses (0.64-0.98x): each chunk repays a pass over all knots
+#: in ``locate_many``.
+SPLIT_WORK = 1 << 17
+
+
 def stab_cumulatives_many(view, ts: np.ndarray) -> np.ndarray:
     """``C_i(t)`` for every object and query time: the batched stab.
 
@@ -47,38 +54,44 @@ def stab_cumulatives_many(view, ts: np.ndarray) -> np.ndarray:
     routes knot-coincident times through real stabs): the containing
     elementary segment is located on the CSR arrays, and the
     cumulative is the stab entry's ``prefix_hi`` minus the same
-    clamped-trapezoid tail, in the same operation order.  Objects the
-    stab would miss (``t`` outside their span) take the scalar path's
-    fallback values — 0 before the span, the total mass after it.
+    clamped-trapezoid tail, in the same operation order (evaluated in
+    place; the slope is gathered from :attr:`CSRView.stab_slopes`).
+    Objects the stab would miss (``t`` outside their span) take the
+    scalar path's fallback values — 0 before the span, the total mass
+    after it.
 
     ``view`` is a :class:`~repro.core.plfstore.CSRView` of the store.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
     m = view.num_objects
-    starts, ends, totals = view.starts, view.ends, view.totals
+    slopes = view.stab_slopes
+    # One knot ahead: gathering these at j reads knot j + 1.
+    times_hi = view.knot_times[1:]
+    values_hi = view.knot_values[1:]
+    prefix_hi = view.prefix_masses[1:]
     out = np.empty((ts.size, m), dtype=np.float64)
     for rows in row_chunks(ts.size, m):
         col = ts[rows, None]
         j = view.locate_many(ts[rows])
         lo = view.knot_times[j]
-        hi = view.knot_times[j + 1]
-        v_lo = view.knot_values[j]
-        v_hi = view.knot_values[j + 1]
-        prefix_hi = view.prefix_masses[j + 1]
-        width = hi - lo
-        slope = np.where(
-            width > 0, (v_hi - v_lo) / np.where(width > 0, width, 1.0), 0.0
-        )
+        hi = times_hi[j]
         t_clamped = np.clip(col, lo, hi)
-        v_at_t = v_lo + slope * (t_clamped - lo)
-        tail = 0.5 * (hi - t_clamped) * (v_at_t + v_hi)
-        cum = prefix_hi - tail
+        # v_at_t = v_lo + slope * (t_clamped - lo)
+        v_at_t = np.subtract(t_clamped, lo, out=lo)
+        np.multiply(slopes[j], v_at_t, out=v_at_t)
+        np.add(view.knot_values[j], v_at_t, out=v_at_t)
+        # tail = 0.5 * (hi - t_clamped) * (v_at_t + v_hi)
+        tail = np.subtract(hi, t_clamped, out=hi)
+        np.multiply(0.5, tail, out=tail)
+        np.add(v_at_t, values_hi[j], out=v_at_t)
+        np.multiply(tail, v_at_t, out=tail)
+        block = out[rows]
+        np.subtract(prefix_hi[j], tail, out=block)
         # The scalar path fills stab-missed objects from the store
         # kernel, whose clamp yields exactly 0 / total outside the
         # span (non-knot t is never equal to a span endpoint).
-        out[rows] = np.where(
-            col < starts, 0.0, np.where(col > ends, totals, cum)
-        )
+        np.copyto(block, 0.0, where=col < view.starts)
+        np.copyto(block, view.totals, where=col > view.ends)
     return out
 
 
@@ -92,24 +105,39 @@ def exact3_batch_answers(
 ) -> List[TopKResult]:
     """Batched EXACT3 answers for non-knot query times.
 
-    Pure function of the CSR view — no devices, no IO counters — so
-    :meth:`Exact3._query_many` can fan contiguous query chunks across
-    worker threads and merge answers in submission order (the same
-    elementwise arithmetic per row, hence identical bits).
+    Pure function of the CSR view — no devices, no IO counters (the
+    caller charges IO).  A batch with ``rows * m >= SPLIT_WORK`` splits
+    into two contiguous row chunks answered on two threads (when the
+    host has two CPUs and this is not a serving-pool worker; see
+    :func:`~repro.parallel.executor.split_threads`), concatenated in
+    order: the same elementwise arithmetic per row, hence identical
+    bits.
     """
+    threads = split_threads(t1s.size * view.num_objects, SPLIT_WORK)
+    parts = thread_map(
+        lambda bounds: _answers(
+            view, object_ids, aggregate, t1s, t2s, ks, slice(*bounds)
+        ),
+        chunk_ranges(t1s.size, threads),
+        threads,
+    )
+    return [answer for part in parts for answer in part]
+
+
+def _answers(view, object_ids, aggregate, t1s, t2s, ks, rows: slice):
+    """:func:`exact3_batch_answers` for one contiguous chunk of rows."""
     from repro.approximate.toplists import top_k_rows
 
+    t1s, t2s = t1s[rows], t2s[rows]
     # One kernel pass over both endpoints (elementwise arithmetic, so
     # splitting afterwards is bit-identical to two separate passes).
     cums = stab_cumulatives_many(view, np.concatenate([t1s, t2s]))
-    low_cum = cums[: t1s.size]
-    high_cum = cums[t1s.size :]
-    raw = high_cum - low_cum
+    raw = cums[t1s.size :] - cums[: t1s.size]
     for row in range(t1s.size):
         raw[row] = aggregate.finalize_many(
             raw[row], float(t1s[row]), float(t2s[row])
         )
-    return top_k_rows(object_ids, raw, ks)
+    return top_k_rows(object_ids, raw, ks[rows])
 
 
 class Exact3(RankingMethod):
@@ -200,16 +228,13 @@ class Exact3(RankingMethod):
         return top_k_from_arrays(self._object_ids, raw, query.k)
 
     def _query_many(
-        self,
-        t1s: np.ndarray,
-        t2s: np.ndarray,
-        ks: np.ndarray,
-        executor=None,
+        self, t1s: np.ndarray, t2s: np.ndarray, ks: np.ndarray
     ) -> List[TopKResult]:
         """Batched EXACT3: one vectorized stab-arithmetic pass.
 
-        Scores come from :func:`stab_cumulatives_many` (bit-identical
-        to the per-query stabs), and the IO model charges, per query,
+        Scores come from :func:`exact3_batch_answers` (bit-identical
+        to the per-query stabs, split over two threads when the batch
+        is large enough), and the IO model charges, per query,
         exactly the block reads its two stabbing walks would perform
         (:meth:`ExternalIntervalTree.modeled_stab_reads_many`).  Query
         times that coincide with a knot — where a stab returns two
@@ -225,11 +250,6 @@ class Exact3(RankingMethod):
         the modeled per-stab block sequences, so cache hits, read
         charges, and the final LRU contents are identical to the
         scalar loop's.
-
-        ``executor`` (a :class:`~repro.parallel.ParallelExecutor`)
-        fans contiguous query chunks across worker threads; each chunk
-        is a pure function of the :class:`~repro.core.plfstore.CSRView`,
-        so the answers equal the inline run's, in query order.
         """
         usable = not self.tree.has_overflow and self.database.wants_store
         if not usable:
@@ -273,24 +293,10 @@ class Exact3(RankingMethod):
                 t1s[regular]
             ) + self.tree.modeled_stab_reads_many(t2s[regular])
             self.device.stats.record_reads(int(reads.sum()))
-        view = store.csr_view()
-        rt1, rt2, rk = t1s[regular], t2s[regular], ks[regular]
-
-        def answer(bounds):
-            lo, hi = bounds
-            return exact3_batch_answers(
-                view, self._object_ids, self.aggregate,
-                rt1[lo:hi], rt2[lo:hi], rk[lo:hi],
-            )
-
-        if executor is None or executor.is_serial:
-            answers = answer((0, regular.size))
-        else:
-            chunks = chunk_ranges(
-                int(regular.size), executor.workers * OVERSUBSCRIPTION
-            )
-            parts = executor.map(answer, chunks)
-            answers = [result for part in parts for result in part]
+        answers = exact3_batch_answers(
+            store.csr_view(), self._object_ids, self.aggregate,
+            t1s[regular], t2s[regular], ks[regular],
+        )
         for pos, idx in enumerate(regular):
             results[idx] = answers[pos]
         return results

@@ -1,14 +1,16 @@
-"""Opt-in thread fan-out, and the serving tier's process pool.
+"""Automatic two-thread splits, and the serving tier's process pool.
 
-:class:`ParallelExecutor` fans the two paths that pay for a second
-core — QUERY1's per-left-endpoint top-list batches and EXACT3's
-batched query rows — out over threads (the NumPy selections and sorts
-release the GIL for most of a chunk).  :meth:`ParallelExecutor.map`
-returns results in task order, every task is a pure function of the
-arrays its closure captured, and the caller performs all device
-writes and IO accounting itself, in task order — so fanned-out builds
-and batches are byte-identical to the inline run, and concurrent
-fan-outs share no state (``tests/test_build_equivalence.py``).
+Two kernels split their work over a second core on their own: EXACT3's
+batched stabs (:func:`repro.exact.exact3.exact3_batch_answers`) and
+QUERY1's per-left-endpoint top-list batches.  Each splits only when its
+work reaches the threshold measured to pay for the split
+(:func:`split_threads`), into two contiguous chunks run by
+:func:`thread_map` — the NumPy passes release the GIL for most of a
+chunk.  Every chunk is a pure function of the arrays its closure
+captured, results come back in chunk order, and the caller performs
+all device writes and IO accounting itself, so split runs are
+byte-identical to inline ones and concurrent splits share no state
+(``tests/test_build_equivalence.py``).
 
 :class:`WorkerPool` is the serving pool's long-lived process pool.
 """
@@ -16,17 +18,12 @@ fan-outs share no state (``tests/test_build_equivalence.py``).
 from __future__ import annotations
 
 import multiprocessing
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Any, Callable, List, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-from repro.core.errors import ReproError
-
-#: Chunks submitted per worker by the fan-out paths: mild
-#: oversubscription so one slow chunk cannot serialize the pool.
-OVERSUBSCRIPTION = 4
 
 _WORKER_STATE: Any = None
 
@@ -73,7 +70,7 @@ def weighted_chunk_ranges(
 ) -> List[Tuple[int, int]]:
     """Contiguous chunks of near-equal total *weight*.
 
-    The QUERY1 fan-out uses this with weight ``r - 1 - j`` per left
+    The QUERY1 split uses this with weight ``r - 1 - j`` per left
     endpoint ``j``: early endpoints own quadratically more list rows
     than late ones, so equal-count chunks would put almost all the
     work in the first chunk.  Cuts are placed at the weight quantiles
@@ -118,38 +115,37 @@ def process_context() -> multiprocessing.context.BaseContext:
 
 
 # ----------------------------------------------------------------------
-# executors
+# automatic splits
 # ----------------------------------------------------------------------
-class ParallelExecutor:
-    """A worker count: inline at 1, a ``ThreadPoolExecutor`` above.
+def split_threads(
+    work: int, threshold: float, cpus: Optional[int] = None
+) -> int:
+    """Threads (1 or 2) for a kernel of ``work`` elements: two when
+    ``work`` reaches ``threshold`` (where a split was measured to pay)
+    and two CPUs are usable.  ``cpus`` defaults to the host's count, or
+    1 inside a :class:`WorkerPool` worker, whose pool already spreads
+    batches over the cores."""
+    if cpus is None:
+        cpus = 1 if worker_state() is not None else (os.cpu_count() or 1)
+    return 2 if cpus >= 2 and work >= threshold else 1
 
-    A thread pool lives only for one :meth:`map` call, so executors
-    can be stored on long-lived method objects without leaking OS
-    resources.
-    """
 
-    def __init__(self, workers: int = 1) -> None:
-        workers = int(workers)
-        if workers < 1:
-            raise ReproError("executor workers must be at least 1")
-        self.workers = workers
-
-    @property
-    def is_serial(self) -> bool:
-        """True when chunk tasks run inline on the caller's thread."""
-        return self.workers == 1
-
-    def map(self, fn: Callable[[Any], Any], tasks: Sequence[Any]) -> list:
-        """Run ``fn`` over ``tasks``; results in task-submission order.
-
-        A task exception propagates to the caller after the pool shuts
-        down, so a failed fan-out never commits partial results.
-        """
-        tasks = list(tasks)
-        if self.is_serial or len(tasks) < 2:
-            return [fn(task) for task in tasks]
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            return list(pool.map(fn, tasks))
+def thread_map(
+    fn: Callable[[Any], Any], tasks: Sequence[Any], workers: int
+) -> list:
+    """``[fn(task) for task in tasks]`` on ``workers`` threads: the
+    caller's and ``workers - 1`` per-call helpers (none idle when a
+    serving pool forks).  The caller runs the first task on its own
+    warm malloc arena; a fresh helper's arena starts cold.  Results
+    come back in task order; a task's exception propagates after the
+    helpers stop, so a failed split never commits partial results."""
+    tasks = list(tasks)
+    if workers < 2 or len(tasks) < 2:
+        return [fn(task) for task in tasks]
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        helped = [pool.submit(fn, task) for task in tasks[1:]]
+        first = fn(tasks[0])
+        return [first] + [future.result() for future in helped]
 
 
 class WorkerPool:

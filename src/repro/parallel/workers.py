@@ -5,7 +5,14 @@ the pool's snapshot and serve many dispatched micro-batches from it.
 
 from __future__ import annotations
 
+import threading
+
+from repro.core.errors import ReproError
 from repro.parallel.executor import worker_state
+
+#: Seconds a warm task waits at the pool-start barrier for every other
+#: worker to take its own warm task.
+WARM_TIMEOUT_S = 60.0
 
 #: Per-process mount cache for the serving pool, keyed by pool root:
 #: ``root -> (snapshot_path, epoch, backend)``.  A worker re-uses its
@@ -35,10 +42,24 @@ def _serving_backend(root: str, path: str, epoch: int, spec: dict):
 
 def serving_warm(_task=None) -> dict:
     """Pre-mount this worker's serving backend from the installed
-    worker state ``(root, path, epoch, spec)`` — the pool-start warm
-    protocol, so the first real flush never pays a cold mount."""
-    root, path, epoch, spec = worker_state()
-    _, info = _serving_backend(root, path, epoch, spec)
+    worker state ``(root, path, epoch, spec, barrier)`` — the
+    pool-start warm protocol, so the first real flush never pays a
+    cold mount — then hold the worker at ``barrier`` (one party per
+    worker) so that N warm tasks reach N distinct workers.  A failed
+    mount breaks the barrier for all; a broken or timed-out barrier
+    is a :class:`ReproError`."""
+    root, path, epoch, spec, barrier = worker_state()
+    try:
+        _, info = _serving_backend(root, path, epoch, spec)
+        barrier.wait(WARM_TIMEOUT_S)
+    except threading.BrokenBarrierError:
+        raise ReproError(
+            f"serving pool start: not every worker took a warm task "
+            f"within {WARM_TIMEOUT_S:g}s"
+        ) from None
+    except BaseException:
+        barrier.abort()
+        raise
     return info
 
 

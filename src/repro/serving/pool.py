@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.errors import ReproError
-from repro.parallel.executor import WorkerPool
+from repro.parallel.executor import WorkerPool, process_context
 from repro.parallel.workers import serving_dispatch, serving_warm
 from repro.storage.snapshot import snapshot_any
 
@@ -100,16 +100,21 @@ class ServingProcessPool:
         else:
             self._path = self._snapshot_path(self._epoch)
             snapshot_any(backend.snapshot_target(), self._path)
-        self._procs = WorkerPool(
-            self.workers,
-            state=(str(self.root), str(self._path), self._epoch, self.spec),
-        )
-        # Warm every worker now: N concurrent warm tasks spawn N
-        # workers, each mounting (and build-replaying) before traffic
-        # arrives, so the first real flush never stalls on a cold
-        # mount — and every fork happens before heavy kernels run.
+        # Warm every worker now, mounting (and build-replaying) before
+        # traffic arrives, so the first real flush never stalls on a
+        # cold mount.  Submitting N warm tasks alone does not reach N
+        # workers — an idle worker may take two while another takes
+        # none — so each warm task holds its worker at a barrier of N
+        # parties until every worker holds one.
+        barrier = process_context().Barrier(self.workers)
+        state = (str(self.root), str(self._path), self._epoch, self.spec)
+        self._procs = WorkerPool(self.workers, state=state + (barrier,))
         warm = [self._procs.submit(serving_warm) for _ in range(self.workers)]
-        self.startup_warmups = sum(int(f.result()["warmups"]) for f in warm)
+        try:
+            self.startup_warmups = sum(int(f.result()["warmups"]) for f in warm)
+        except BaseException:
+            self.close()
+            raise
 
     # ------------------------------------------------------------------
     # epoch protocol

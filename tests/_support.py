@@ -54,3 +54,26 @@ def breakpoints_equivalent(a, b, atol: float = 1e-6) -> bool:
         if np.min(np.abs(long.times - t)) > atol:
             return False
     return True
+
+
+def force_threads(monkeypatch, module, threads: int) -> list:
+    """Run ``module``'s automatic split (EXACT3 batches, the QUERY1
+    build) inline (``threads=1``) or over two threads (``threads=2``)
+    whatever the work and the host's CPUs, by moving the module's
+    ``SPLIT_WORK`` threshold; returns the thread counts the split
+    points then actually ran on."""
+    from repro.parallel import executor
+
+    monkeypatch.setattr(
+        module, "SPLIT_WORK", 0 if threads == 2 else float("inf")
+    )
+    monkeypatch.setattr(executor.os, "cpu_count", lambda: 2)
+    ran = []
+    real = module.thread_map
+
+    def spy(fn, tasks, workers):
+        ran.append(workers)
+        return real(fn, tasks, workers)
+
+    monkeypatch.setattr(module, "thread_map", spy)
+    return ran

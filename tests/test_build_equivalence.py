@@ -11,10 +11,11 @@ historical scalar path it replaced:
 * APPX2+ rescored answers with unchanged IO counts,
 * the dyadic candidate pools (scores and dict order).
 
-The QUERY1 build and the EXACT3 batch also fan out over threads: the
-fanned-out artifacts and answers must equal the inline run's byte for
-byte (including a tie-heavy dataset and two fan-outs running at once),
-and a worker failure must propagate without corrupting the device.
+The QUERY1 build and the EXACT3 batch also split over two threads
+once their work pays for it: the split artifacts and answers must
+equal the inline run's byte for byte (including a tie-heavy dataset
+and two splits running at once), and a worker failure must propagate
+without corrupting the device.
 """
 
 import sys
@@ -24,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro.approximate import build_breakpoints1, build_breakpoints2
+from repro.approximate import query1 as query1_module
 from repro.approximate.dyadic import DyadicIndex
 from repro.approximate.methods import APPROXIMATE_METHODS, Appx2Plus
 from repro.approximate.query1 import NestedPairIndex
@@ -38,12 +40,12 @@ from repro.core.database import TemporalDatabase
 from repro.core.queries import TopKQuery
 from repro.datasets import sample_workload
 from repro.exact import Exact3
-from repro.parallel import ParallelExecutor
+from repro.exact import exact3 as exact3_module
 from repro.storage import BlockDevice
 
-from _support import make_random_database, random_intervals
+from _support import force_threads, make_random_database, random_intervals
 
-#: Worker counts the fan-out must be exact under (inline, two threads).
+#: Thread counts the splits must be exact under (inline, two threads).
 EXECUTOR_MATRIX = [
     pytest.param(1, id="serial"),
     pytest.param(2, id="thread2"),
@@ -394,28 +396,40 @@ def _assert_same_query1(dev_a, idx_a, dev_b, idx_b, kmax):
 
 @pytest.mark.parametrize("workers", EXECUTOR_MATRIX)
 class TestExecutorBackendEquivalence:
-    """Fan-out determinism: the thread fan-out reproduces the inline build."""
+    """Split determinism: the two-thread build reproduces the inline one."""
 
-    def test_query1_byte_identical(self, setup, workers):
+    def test_query1_byte_identical(self, setup, workers, monkeypatch):
         db, bp = setup
         dev_ref = BlockDevice()
         ref = NestedPairIndex(dev_ref, bp, kmax=15).build(db)
+        ran = force_threads(monkeypatch, query1_module, workers)
         dev = BlockDevice()
-        idx = NestedPairIndex(dev, bp, kmax=15).build(
-            db, executor=ParallelExecutor(workers)
-        )
+        idx = NestedPairIndex(dev, bp, kmax=15).build(db)
         _assert_same_query1(dev_ref, ref, dev, idx, 15)
+        assert ran == ([2] if workers == 2 else [])
 
-    def test_tie_heavy_dataset_byte_identical(self, workers):
+    def test_tie_heavy_dataset_byte_identical(self, workers, monkeypatch):
         db = _tie_heavy_database()
         bp = build_breakpoints1(db, r=11)
         dev_ref = BlockDevice()
         ref = NestedPairIndex(dev_ref, bp, kmax=10).build(db)
+        force_threads(monkeypatch, query1_module, workers)
         dev = BlockDevice()
-        idx = NestedPairIndex(dev, bp, kmax=10).build(
-            db, executor=ParallelExecutor(workers)
-        )
+        idx = NestedPairIndex(dev, bp, kmax=10).build(db)
         _assert_same_query1(dev_ref, ref, dev, idx, 10)
+
+
+@pytest.mark.parametrize(
+    "r, m, threads",
+    [(51, 1000, 1), (201, 1000, 1), (230, 1500, 2), (100, 10**4, 2),
+     (229, 10**4, 2)],
+)
+def test_query1_split_decision_at_measured_shapes(r, m, threads):
+    from repro.parallel import split_threads
+
+    assert query1_module.SPLIT_WORK == 1 << 25
+    work = r * (r - 1) // 2 * m
+    assert split_threads(work, query1_module.SPLIT_WORK, cpus=2) == threads
 
 
 def _run_concurrently(jobs, timeout=120.0):
@@ -453,9 +467,9 @@ def _run_concurrently(jobs, timeout=120.0):
 
 
 class TestConcurrentFanOut:
-    """Two fan-outs running at once share no state.
+    """Two splits running at once share no state.
 
-    Each thread fans its own index build (or query batch) over two
+    Each thread splits its own index build (or query batch) over two
     worker threads, on a different database; every result must equal
     the same work run inline on its own.
     """
@@ -467,24 +481,30 @@ class TestConcurrentFanOut:
             make_random_database(num_objects=500, avg_segments=12, seed=62),
         ]
 
-    def test_concurrent_query1_builds_match_inline(self, databases):
+    def test_concurrent_query1_builds_match_inline(
+        self, databases, monkeypatch
+    ):
         bps = [build_breakpoints1(db, r=40) for db in databases]
 
-        def build(db, bp, executor=None):
+        def build(db, bp):
             device = BlockDevice()
             index = NestedPairIndex(device, bp, kmax=10)
-            return device, index.build(db, executor=executor)
+            return device, index.build(db)
 
+        references = [build(db, bp) for db, bp in zip(databases, bps)]
+        ran = force_threads(monkeypatch, query1_module, 2)
         for _ in range(3):
-            fanned = _run_concurrently([
-                lambda db=db, bp=bp: build(db, bp, ParallelExecutor(2))
+            split = _run_concurrently([
+                lambda db=db, bp=bp: build(db, bp)
                 for db, bp in zip(databases, bps)
             ])
-            for db, bp, (dev, idx) in zip(databases, bps, fanned):
-                dev_ref, ref = build(db, bp)
+            for (dev_ref, ref), (dev, idx) in zip(references, split):
                 _assert_same_query1(dev_ref, ref, dev, idx, 10)
+        assert ran == [2] * 6
 
-    def test_concurrent_exact3_batches_match_inline(self, databases):
+    def test_concurrent_exact3_batches_match_inline(
+        self, databases, monkeypatch
+    ):
         methods = [Exact3().build(db) for db in databases]
         batches = [
             sample_workload(db, count=64, kmax=10, seed=7) for db in databases
@@ -492,14 +512,15 @@ class TestConcurrentFanOut:
         expected = [
             method.query_many(batch) for method, batch in zip(methods, batches)
         ]
+        # Both batches above the (moved) threshold: each caller splits.
+        ran = force_threads(monkeypatch, exact3_module, 2)
         for _ in range(3):
             got = _run_concurrently([
-                lambda method=method, batch=batch: method.query_many(
-                    batch, executor=ParallelExecutor(2)
-                )
+                lambda method=method, batch=batch: method.query_many(batch)
                 for method, batch in zip(methods, batches)
             ])
             assert got == expected
+        assert ran == [2] * 6
 
 
 class TestWorkerFaults:
@@ -515,11 +536,10 @@ class TestWorkerFaults:
             raise RuntimeError("injected worker failure")
 
         monkeypatch.setattr(TopListBatcher, "top_lists", boom)
+        force_threads(monkeypatch, query1_module, workers)
         device = BlockDevice()
         before = (_device_state(device), device.stats.reads)
         with pytest.raises(RuntimeError, match="injected worker failure"):
-            NestedPairIndex(device, bp, kmax=15).build(
-                db, executor=ParallelExecutor(workers)
-            )
+            NestedPairIndex(device, bp, kmax=15).build(db)
         assert (_device_state(device), device.stats.reads) == before
         assert device.num_blocks == 0

@@ -1,24 +1,27 @@
 """Executor subsystem tests: chunking, the thread map, the worker pool.
 
-The build-level byte-identity of fanned-out indexes lives in
-``test_build_equivalence.py``; this module covers the executor
-machinery itself plus the device's coordinator-ownership guard.
+The byte-identity of split builds and batches lives in
+``test_build_equivalence.py`` and ``test_query_many.py``; this module
+covers the split machinery itself plus the device's
+coordinator-ownership guard.
 """
 
 import multiprocessing
 import pickle
+import threading
 
 import numpy as np
 import pytest
 
-from repro.core.errors import ReproError
 from repro.parallel import (
-    ParallelExecutor,
     WorkerPool,
     chunk_ranges,
+    split_threads,
+    thread_map,
     weighted_chunk_ranges,
     worker_state,
 )
+from repro.parallel import executor as executor_module
 from repro.storage.cache import LRUCache
 from repro.storage.device import BlockDevice, BlockDeviceError
 
@@ -77,23 +80,12 @@ class TestChunkRanges:
 
 
 class TestExecutorMap:
-    def test_workers_floor(self):
-        assert ParallelExecutor(5).workers == 5
-        with pytest.raises(ReproError):
-            ParallelExecutor(0)
-
-    def test_serial_executor_reports_one_worker(self):
-        executor = ParallelExecutor(1)
-        assert executor.is_serial
-        assert executor.workers == 1
-        assert ParallelExecutor().is_serial
-
     @pytest.mark.parametrize("workers", MAP_WORKERS)
     def test_map_preserves_order_and_state(self, workers):
         state = np.arange(5, dtype=np.float64)
         tasks = list(range(20))
-        results = ParallelExecutor(workers).map(
-            lambda task: (task, float(np.sum(state))), tasks
+        results = thread_map(
+            lambda task: (task, float(np.sum(state))), tasks, workers
         )
         assert [task for task, _ in results] == tasks
         assert all(total == 10.0 for _, total in results)
@@ -101,7 +93,39 @@ class TestExecutorMap:
     @pytest.mark.parametrize("workers", MAP_WORKERS)
     def test_worker_exception_propagates(self, workers):
         with pytest.raises(RuntimeError, match="worker failure"):
-            ParallelExecutor(workers).map(_boom_task, [1, 2, 3])
+            thread_map(_boom_task, [1, 2, 3], workers)
+
+    def test_one_worker_runs_inline(self):
+        caller = threading.get_ident()
+        assert thread_map(lambda _: threading.get_ident(), [0, 1], 1) == [
+            caller, caller,
+        ]
+
+    def test_caller_runs_the_first_task(self):
+        caller = threading.get_ident()
+        first, second = thread_map(
+            lambda _: threading.get_ident(), [0, 1], 2
+        )
+        assert first == caller and second != caller
+
+
+class TestSplitThreads:
+    def test_two_only_at_the_threshold_with_two_cpus(self):
+        assert split_threads(99, 100, cpus=2) == 1
+        assert split_threads(100, 100, cpus=2) == 2
+        assert split_threads(10**9, 100, cpus=8) == 2
+        assert split_threads(10**9, 100, cpus=1) == 1
+
+    def test_default_cpus_follow_the_host(self, monkeypatch):
+        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 2)
+        assert split_threads(100, 100) == 2
+        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: None)
+        assert split_threads(100, 100) == 1
+
+    def test_a_pool_worker_never_splits(self, monkeypatch):
+        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(executor_module, "_WORKER_STATE", ("pool",))
+        assert split_threads(10**9, 0) == 1
 
 
 class TestDeviceCoordinatorGuard:
@@ -131,7 +155,7 @@ class TestDeviceCoordinatorGuard:
                 return "guarded"
             return "allocated"
 
-        assert ParallelExecutor(2).map(allocate, [0, 1]) == ["allocated", None]
+        assert thread_map(allocate, [0, 1], 2) == ["allocated", None]
 
     def test_unpickled_device_is_owned_by_its_process(self):
         device = BlockDevice()

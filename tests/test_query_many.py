@@ -5,7 +5,7 @@ scalar per-query loop *exactly*:
 
 * answers — object ids, scores (bitwise), and tie-break order,
 * total IO charges over the workload (the modeled-cost contract),
-* inline and on the two-thread fan-out (EXACT3),
+* inline and split over two threads (EXACT3),
 
 for APPX1, APPX2, APPX2+, EXACT2, EXACT3, and both instant engines —
 including degenerate snaps, knot-coincident endpoints, out-of-domain
@@ -15,25 +15,32 @@ fallbacks.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.approximate.methods import Appx1, Appx2, Appx2Plus
 from repro.btree.batch import modeled_successor_many
 from repro.btree.tree import BPlusTree
 from repro.core.errors import InvalidQueryError
+from repro.core.plfstore import PLFStore
 from repro.core.queries import TopKQuery, workload_arrays
 from repro.datasets import sample_instant_workload, sample_workload
 from repro.datasets.workload import WorkloadBatch
 from repro.exact import Exact2, Exact3
+from repro.exact import exact3 as exact3_module
+from repro.exact.exact3 import SPLIT_WORK, stab_cumulatives_many
 from repro.instant.engine import InstantBruteForce, InstantIntervalTree
-from repro.parallel import ParallelExecutor
+from repro.parallel import executor as executor_module
+from repro.parallel import split_threads
 from repro.storage import BlockDevice
 
-from _support import make_random_database
+from _support import force_threads, make_random_database
+from test_properties import plf_strategy
 
 EXECUTOR_MATRIX = [
     pytest.param(1, id="serial"),
     pytest.param(2, id="thread2"),
 ]
+
 
 KMAX = 24
 
@@ -63,7 +70,7 @@ def tricky_workload(database, method=None, count=64, seed=17):
     return t1s, t2s, ks
 
 
-def assert_batch_equals_scalar(method, t1s, t2s, ks, executor=None):
+def assert_batch_equals_scalar(method, t1s, t2s, ks):
     """Scalar-loop answers and IO totals == query_many's, bit for bit."""
     before = method.io_stats.snapshot()
     expected = [
@@ -72,9 +79,7 @@ def assert_batch_equals_scalar(method, t1s, t2s, ks, executor=None):
     ]
     scalar = method.io_stats.snapshot() - before
     before = method.io_stats.snapshot()
-    got = method.query_many(
-        np.stack([t1s, t2s, ks], axis=1), executor=executor
-    )
+    got = method.query_many(np.stack([t1s, t2s, ks], axis=1))
     batched = method.io_stats.snapshot() - before
     assert len(got) == len(expected)
     for row, (want, have) in enumerate(zip(expected, got)):
@@ -134,12 +139,95 @@ def test_query_many_tie_heavy(tie_db, cls):
 
 
 @pytest.mark.parametrize("workers", EXECUTOR_MATRIX)
-def test_exact3_executor_matrix(db, workers):
+def test_exact3_executor_matrix(db, workers, monkeypatch):
+    ran = force_threads(monkeypatch, exact3_module, workers)
     method = Exact3().build(db)
     t1s, t2s, ks = tricky_workload(db, method)
-    assert_batch_equals_scalar(
-        method, t1s, t2s, ks, executor=ParallelExecutor(workers)
+    assert_batch_equals_scalar(method, t1s, t2s, ks)
+    assert ran and set(ran) == {workers}
+
+
+# ----------------------------------------------------------------------
+# the automatic two-thread split
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "rows, m, threads",
+    [(8, 10**4, 1), (16, 10**4, 2), (64, 2500, 2), (64, 1000, 1),
+     (32, 2500, 1)],
+)
+def test_exact3_split_decision_at_measured_shapes(rows, m, threads):
+    assert SPLIT_WORK == 1 << 17
+    assert split_threads(rows * m, SPLIT_WORK, cpus=2) == threads
+    assert split_threads(rows * m, SPLIT_WORK, cpus=1) == 1
+
+
+def test_exact3_split_answers_and_io_byte_identical(db, monkeypatch):
+    method = Exact3().build(db)
+    batch = np.stack(tricky_workload(db, method), axis=1)
+    runs = []
+    for threads in (1, 2):
+        ran = force_threads(monkeypatch, exact3_module, threads)
+        before = method.io_stats.reads
+        got = method.query_many(batch)
+        reads = method.io_stats.reads - before
+        assert set(ran) == {threads}
+        runs.append((
+            [r.object_ids for r in got],
+            [np.asarray(r.scores).tobytes() for r in got],
+            reads,
+        ))
+    assert runs[0] == runs[1]
+
+
+def test_exact3_pool_worker_never_splits(db, monkeypatch):
+    method = Exact3().build(db)
+    t1s, t2s, ks = tricky_workload(db, method)
+    expected = method.query_many(np.stack([t1s, t2s, ks], axis=1))
+    ran = force_threads(monkeypatch, exact3_module, 2)
+    monkeypatch.setattr(executor_module, "_WORKER_STATE", ("pool",))
+    assert method.query_many(np.stack([t1s, t2s, ks], axis=1)) == expected
+    assert ran and set(ran) == {1}
+
+
+def reference_stab_cumulatives(view, ts):
+    """The batched stab's formula as first written: ``j + 1`` gathers
+    and the slope, trapezoid and span masks as fresh temporaries."""
+    col = ts[:, None]
+    j = view.locate_many(ts)
+    lo = view.knot_times[j]
+    hi = view.knot_times[j + 1]
+    v_lo = view.knot_values[j]
+    v_hi = view.knot_values[j + 1]
+    prefix_hi = view.prefix_masses[j + 1]
+    width = hi - lo
+    slope = np.where(
+        width > 0, (v_hi - v_lo) / np.where(width > 0, width, 1.0), 0.0
     )
+    t_clamped = np.clip(col, lo, hi)
+    v_at_t = v_lo + slope * (t_clamped - lo)
+    tail = 0.5 * (hi - t_clamped) * (v_at_t + v_hi)
+    cum = prefix_hi - tail
+    return np.where(
+        col < view.starts, 0.0, np.where(col > view.ends, view.totals, cum)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        plf_strategy(min_knots=2, max_knots=6, nonnegative=False),
+        min_size=1, max_size=6,
+    ),
+    st.lists(st.floats(-20.0, 120.0), min_size=1, max_size=9),
+)
+def test_lean_stab_kernel_is_bitwise_the_reference(functions, ts):
+    """Unpadded objects with their own spans (times before, inside and
+    after each; single-segment objects included): the in-place kernel
+    returns the reference formula's bits."""
+    view = PLFStore(functions).csr_view()
+    ts = np.asarray(ts, dtype=np.float64)
+    got = stab_cumulatives_many(view, ts)
+    assert got.tobytes() == reference_stab_cumulatives(view, ts).tobytes()
 
 
 def test_negative_scores_query_many():

@@ -11,14 +11,16 @@ shutdown with pool batches in flight.
 """
 
 import asyncio
+import time
 
 import numpy as np
 import pytest
 
-from repro.core.errors import CoordinatorShutdown
+from repro.core.errors import CoordinatorShutdown, ReproError
 from repro.core.queries import TopKQuery
 from repro.datasets import sample_workload
 from repro.engine import TemporalRankingEngine
+from repro.parallel.executor import process_context
 from repro.serving import (
     ClusterBackend,
     EngineBackend,
@@ -153,6 +155,43 @@ def test_pool_warmups_count_appx_indexes(db, engine, tmp_path):
         assert pool.startup_warmups % 2 == 0
     finally:
         pool.close()
+
+
+def test_pool_start_warms_every_worker_once(db, engine, tmp_path):
+    """Each worker takes exactly one startup warm task, so every
+    worker mounts before traffic: none is left cold, none warms twice."""
+    backend = EngineBackend(engine)
+    backend.prepare_for_pool()
+    snapshot_any(backend.snapshot_target(), tmp_path / "snap")
+    _, per_mount = open_served(tmp_path / "snap", backend.pool_spec())
+    assert per_mount >= 1
+    pool = ServingProcessPool(backend, workers=4, root=tmp_path / "pool")
+    try:
+        assert pool.startup_warmups == 4 * per_mount
+    finally:
+        pool.close()
+
+
+@pytest.mark.skipif(
+    process_context().get_start_method() != "fork",
+    reason="workers inherit the patched mount only under fork",
+)
+def test_pool_start_fails_fast_when_a_mount_fails(
+    db, engine, tmp_path, monkeypatch
+):
+    """A failed worker mount breaks the warm barrier for every worker:
+    the pool start raises at once instead of waiting out the timeout."""
+    import repro.parallel.workers as workers_module
+
+    def broken_mount(*args):
+        raise RuntimeError("injected mount failure")
+
+    monkeypatch.setattr(workers_module, "_serving_backend", broken_mount)
+    monkeypatch.setattr(workers_module, "WARM_TIMEOUT_S", 30.0)
+    start = time.perf_counter()
+    with pytest.raises((RuntimeError, ReproError)):
+        ServingProcessPool(EngineBackend(engine), workers=2, root=tmp_path)
+    assert time.perf_counter() - start < 20.0
 
 
 # ----------------------------------------------------------------------

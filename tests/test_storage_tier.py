@@ -19,7 +19,8 @@ import repro
 from repro.core import buildcount
 from repro.core.queries import TopKQuery
 from repro.engine import TemporalRankingEngine
-from repro.parallel import ParallelExecutor, WorkerPool
+from repro.exact import exact3 as exact3_module
+from repro.parallel import WorkerPool
 from repro.storage.catalog import SCHEMA_VERSION, Catalog
 from repro.storage.device import BlockDevice, BlockDeviceError
 from repro.storage.persistence import PersistenceError
@@ -30,7 +31,7 @@ from repro.storage.segments import (
     write_store_segment,
 )
 
-from _support import make_random_database
+from _support import force_threads, make_random_database
 
 _HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -218,7 +219,7 @@ class TestEngineSnapshot:
 
     @pytest.mark.parametrize("workers", EXECUTORS)
     def test_mounted_workload_identical_on_every_executor(
-        self, tmp_path, workers
+        self, tmp_path, workers, monkeypatch
     ):
         engine, snap = self._snapshot_engine(tmp_path, with_lazy=False)
         mounted = repro.open(snap)
@@ -226,7 +227,9 @@ class TestEngineSnapshot:
             [(q.t1, q.t2, q.k) for q in _queries(engine.database, count=30)]
         )
         expected = engine.top_k_many(batch)
-        got = mounted.top_k_many(batch, executor=ParallelExecutor(workers))
+        ran = force_threads(monkeypatch, exact3_module, workers)
+        got = mounted.top_k_many(batch)
+        assert ran and set(ran) == {workers}
         for a, b in zip(expected, got):
             assert _results_equal(a, b)
 
