@@ -594,17 +594,26 @@ class PLFStore:
     def cumulative_at_many(self, ts: np.ndarray) -> np.ndarray:
         """``C_i(t)`` for every object and every query time: ``(q, m)``.
 
-        Row ``r`` is bit-identical to ``cumulative_at(ts[r])``.  Work
-        is chunked over query times (:func:`row_chunks`) so the
-        transient ``(q, m)`` arrays stay within a bounded footprint;
-        pieces come from :meth:`CSRView.locate_many` and the
-        arithmetic is elementwise, so results do not depend on the
-        chunking.
+        Row ``r`` is bit-identical to ``cumulative_at(ts[r])``.  A row
+        whose time is ``<=`` every object's start is all zeros and one
+        ``>=`` every end is :attr:`totals` — exactly what the boundary
+        masks select — so only the remaining rows are located and
+        evaluated (a time-partitioned shard, padded to its slice, meets
+        such rows for every query that covers the whole slice).  That
+        work is chunked over rows (:func:`row_chunks`) to bound the
+        transient ``(q, m)`` footprint; pieces come from
+        :meth:`CSRView.locate_many` and the arithmetic is elementwise,
+        so results do not depend on the chunking.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
         out = np.empty((ts.size, self.num_objects), dtype=np.float64)
-        for rows in row_chunks(ts.size, self.num_objects):
-            out[rows] = self._cumulative_chunk(ts[rows])
+        after = ts >= self.ends.max()
+        before = ts <= self.starts.min()
+        out[after] = self.totals
+        out[before] = 0.0
+        inner = np.flatnonzero(~(before | after))
+        for rows in row_chunks(inner.size, self.num_objects):
+            out[inner[rows]] = self._cumulative_chunk(ts[inner[rows]])
         return out
 
     def _cumulative_chunk(self, ts: np.ndarray) -> np.ndarray:
@@ -633,11 +642,11 @@ class PLFStore:
         half = np.multiply(0.5, dt, out=dt)
         cum = np.multiply(half, total, out=half)
         cum = np.add(self.prefix_masses[j], cum, out=cum)
-        return np.where(
-            col <= self.starts,
-            0.0,
-            np.where(col >= self.ends, self.totals, cum),
-        )
+        # The boundary masks, in place: totals after the span, then 0
+        # before it (the 0 wins, as in cumulative_at's nested where).
+        np.copyto(cum, self.totals, where=col >= self.ends)
+        np.copyto(cum, 0.0, where=col <= self.starts)
+        return cum
 
     def integrals(self, t1: float, t2: float) -> np.ndarray:
         """``sigma_i(t1, t2)`` for every object: ``(m,)`` array.
@@ -653,12 +662,14 @@ class PLFStore:
 
         Row ``j`` holds every object's aggregate over ``queries[j] =
         (t1, t2)``; reversed intervals score 0, matching the scalar
-        convention.
+        convention.  The ``t1`` and ``t2`` rows go through one
+        :meth:`cumulative_at_many` call, so the knots are ranked
+        against all ``2q`` times in one pass.
         """
         queries = np.asarray(queries, dtype=np.float64).reshape(-1, 2)
-        low = self.cumulative_at_many(queries[:, 0])
-        high = self.cumulative_at_many(queries[:, 1])
-        scores = high - low
+        q = queries.shape[0]
+        cums = self.cumulative_at_many(queries.T.ravel())
+        scores = cums[q:] - cums[:q]
         reversed_rows = queries[:, 1] <= queries[:, 0]
         if reversed_rows.any():
             scores[reversed_rows] = 0.0

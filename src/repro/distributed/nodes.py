@@ -178,6 +178,12 @@ class StorageNode:
         scalar handler's dict would (``C_i(t2) - C_i(t1)`` through the
         CSR kernel is bit-identical to ``obj.score``), so coordinators
         can accumulate per-node partials with identical float bits.
+        On a time shard (every object padded to the slice) only a
+        ``t1`` or ``t2`` strictly inside the slice costs piece
+        location: an endpoint at or before the slice start reads 0,
+        one at or after its end reads the stored totals, and the
+        rest are located in one kernel pass
+        (:meth:`PLFStore.integrals_many`).
         """
         queries = np.stack(
             [

@@ -31,7 +31,13 @@ Two protocols:
 ``protocol="scatter"`` replays the scatter-gather protocol batched:
 per-node partial-score matrices through each shard's CSR kernel,
 accumulated in node order (bit-identical float sequence to the scalar
-coordinator) and reduced with one columnar top-k pass.
+coordinator) and reduced with one columnar top-k pass.  Only the
+slices a query *cuts* cost arithmetic: a partial is ``C(t2) - C(t1)``,
+and on a slice the query covers both cumulatives are stored values
+(0 and the slice's total mass), so a node locates pieces only for the
+one or two endpoints inside its slice.  A node holding every answer
+column (the padded database's layout, :func:`column_layout`) adds its
+partials row for row, with no gather/scatter.
 ``protocol="threshold"`` runs the **lock-step batched TA**: all live
 queries advance their TA rounds together, so each round is one
 vectorized sorted-access pass per node (every live query's next batch
@@ -183,6 +189,26 @@ class _TAQueryState:
         return top_k_from_arrays(ids, vals, self.k)
 
 
+def column_layout(nodes: List[StorageNode]):
+    """The batched coordinator's answer columns and scatter positions.
+
+    Returns ``(columns, node_cols)``: the union of the shards' object
+    ids, ascending, and per node the column of each of its objects in
+    storage order — or ``None`` when the node holds exactly every
+    column in that order (the padded database's layout), in which
+    case its partials accumulate row for row with no scatter.  The
+    node layout is immutable, so this is computed once per cluster.
+    """
+    columns = np.unique(np.concatenate([node.object_ids for node in nodes]))
+    node_cols = [
+        None
+        if np.array_equal(node.object_ids, columns)
+        else np.searchsorted(columns, node.object_ids)
+        for node in nodes
+    ]
+    return columns, node_cols
+
+
 class TimePartitionedCluster:
     """A cluster whose shards partition the *time domain*."""
 
@@ -207,17 +233,7 @@ class TimePartitionedCluster:
         self.groups = make_replica_groups(
             self.nodes, replicas, fault_plan, retry_policy
         )
-        # The node layout is immutable after construction, so the
-        # batched coordinator's global answer columns (union of shard
-        # object sets, ascending) and each node's scatter positions
-        # are computed once, not per batch.
-        self._columns = np.unique(
-            np.concatenate([node.object_ids for node in self.nodes])
-        )
-        self._node_cols = [
-            np.searchsorted(self._columns, node.object_ids)
-            for node in self.nodes
-        ]
+        self._columns, self._node_cols = column_layout(self.nodes)
 
     @property
     def num_nodes(self) -> int:
@@ -363,12 +379,16 @@ class TimePartitionedCluster:
             # Ascending-node accumulation: object totals see the same
             # float-addition sequence as the scalar coordinator's
             # ``totals[id] = totals.get(id, 0.0) + score`` dict walk.
-            totals[np.ix_(rows, cols)] += partials
-            present[np.ix_(rows, cols)] = True
+            if cols is None:
+                totals[rows] += partials
+                present[rows] = True
+            else:
+                totals[np.ix_(rows, cols)] += partials
+                present[np.ix_(rows, cols)] = True
             self.comm.record_messages(
                 int(rows.size), int(rows.size) * node.num_objects
             )
-        # Objects absent from every touched node are not candidates
+        # Objects absent from every served node are not candidates
         # (the scalar coordinator never sees them): -inf marks them
         # and per-query k is clamped so a pad can never be selected.
         scores = np.where(present, totals, -np.inf)

@@ -482,6 +482,7 @@ def open_cluster(path: str | Path, verify: bool = True):
     )
     from repro.distributed.comm import CommStats
     from repro.distributed.nodes import StorageNode, make_replica_groups
+    from repro.distributed.time_partition import column_layout
 
     root = Path(path)
     with Catalog.open(root / Catalog.FILENAME) as catalog:
@@ -549,13 +550,7 @@ def open_cluster(path: str | Path, verify: bool = True):
         cluster.nodes = nodes
         cluster.allow_partial = True
         cluster.groups = make_replica_groups(nodes)
-        cluster._columns = np.unique(
-            np.concatenate([node.object_ids for node in nodes])
-        )
-        cluster._node_cols = [
-            np.searchsorted(cluster._columns, node.object_ids)
-            for node in nodes
-        ]
+        cluster._columns, cluster._node_cols = column_layout(nodes)
         return cluster
     cluster = ObjectPartitionedCluster.__new__(ObjectPartitionedCluster)
     cluster.comm = CommStats()

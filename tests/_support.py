@@ -29,6 +29,21 @@ def make_random_database(
 
 
 
+def unpadded_database(num_objects=60, seed=41):
+    """Random spans, no padding.  Every object meets the two middle
+    slices of a 4-node time cluster, so those nodes hold every object;
+    the outer slices lack the objects that start or end inside the
+    middle ones."""
+    rng = np.random.default_rng(seed)
+    objects = []
+    for i in range(num_objects):
+        a, b = rng.uniform(0.0, 40.0), rng.uniform(60.0, 100.0)
+        times = np.unique(np.concatenate([[a, b], rng.uniform(a, b, 8)]))
+        values = rng.uniform(0.0, 10.0, times.size)
+        objects.append(TemporalObject(i, PiecewiseLinearFunction(times, values)))
+    return TemporalDatabase(objects, span=(0.0, 100.0), pad=False)
+
+
 def random_intervals(database: TemporalDatabase, count: int, seed: int = 0):
     """Random (t1, t2) pairs inside the database's domain."""
     rng = np.random.default_rng(seed)

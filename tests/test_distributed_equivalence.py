@@ -31,7 +31,7 @@ from repro.distributed import (
 )
 from repro.engine import TemporalRankingEngine
 
-from _support import make_random_database
+from _support import make_random_database, unpadded_database
 
 @pytest.fixture(scope="module")
 def db():
@@ -225,6 +225,97 @@ class TestTimePartitionedBatch:
         blocked = cluster.query_many(batch)
         assert blocked == reference
         assert cluster.comm.snapshot() == reference_comm
+
+
+# ----------------------------------------------------------------------
+# time cluster over an unpadded database: nodes lacking objects
+# ----------------------------------------------------------------------
+def assert_bitwise(got, expected):
+    for row, (have, want) in enumerate(zip(got, expected)):
+        assert have.object_ids == want.object_ids, f"ids diverged at row {row}"
+        assert (
+            np.asarray(have.scores).tobytes()
+            == np.asarray(want.scores).tobytes()
+        ), f"score bits diverged at row {row}"
+        assert have.coverage == want.coverage
+    assert len(got) == len(expected)
+
+
+class TestTimeClusterUnpadded:
+    @pytest.fixture(scope="class")
+    def unpadded(self):
+        return unpadded_database()
+
+    @pytest.fixture(scope="class")
+    def unpadded_batch(self, unpadded):
+        return sample_workload(unpadded, count=48, kmax=12, seed=8)
+
+    def test_layout_mixes_full_and_scattered_nodes(self, unpadded):
+        from repro.distributed.time_partition import column_layout
+
+        cluster = TimePartitionedCluster(unpadded, num_nodes=4)
+        columns, node_cols = column_layout(cluster.nodes)
+        assert columns.size == unpadded.num_objects
+        assert [cols is None for cols in node_cols] == [
+            False, True, True, False
+        ]
+
+    @pytest.mark.parametrize(
+        "dead", [None, 0, 1], ids=["healthy", "dead-partial", "dead-full"]
+    )
+    def test_batched_equals_scatter_gather(
+        self, unpadded, unpadded_batch, dead
+    ):
+        from repro.faults import CRASH, INSTANT_RETRY_POLICY, FaultPlan
+
+        plan = None
+        if dead is not None:
+            plan = FaultPlan(seed=0).schedule(CRASH, node_id=dead, at_call=1)
+        cluster = TimePartitionedCluster(
+            unpadded,
+            num_nodes=4,
+            fault_plan=plan,
+            retry_policy=INSTANT_RETRY_POLICY,
+        )
+        # The scalar protocol over the surviving slices is the oracle.
+        reference = TimePartitionedCluster(unpadded, num_nodes=4)
+        reference.nodes = [n for n in reference.nodes if n.node_id != dead]
+        expected = []
+        for t1, t2, k in zip(
+            unpadded_batch.t1s, unpadded_batch.t2s, unpadded_batch.ks
+        ):
+            t1, t2, k = float(t1), float(t2), int(k)
+            bounds = reference.boundaries
+            touched = int(np.sum((bounds[1:] > t1) & (bounds[:-1] < t2)))
+            served = len(reference._touched_nodes(t1, t2))
+            answer = reference.query_scatter_gather(t1, t2, k)
+            if served < touched:
+                answer = answer.with_coverage(served / touched)
+            expected.append(answer)
+        got = cluster.query_many(unpadded_batch)
+        assert_bitwise(got, expected)
+        assert cluster.comm.snapshot() == reference.comm.snapshot()
+        degraded = sum(1 for answer in expected if answer.degraded)
+        assert cluster.comm.degraded_queries == degraded
+        assert (degraded > 0) == (dead is not None)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="zero-score ties are filled only from objects the touched "
+        "slices hold (ROADMAP item 11)",
+    )
+    @pytest.mark.parametrize(
+        "query", [(1.0, 3.0, 20), (101.0, 102.0, 3)], ids=["ties", "outside"]
+    )
+    def test_zero_score_ties_match_exact3(self, unpadded, query):
+        from repro.exact import Exact3
+
+        exact3 = Exact3()
+        exact3.build(unpadded)
+        cluster = TimePartitionedCluster(unpadded, num_nodes=4)
+        got = cluster.query_many(np.asarray([query]))
+        want = exact3.query_many(np.asarray([query]))
+        assert got[0].object_ids == want[0].object_ids
 
 
 # ----------------------------------------------------------------------

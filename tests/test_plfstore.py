@@ -150,6 +150,106 @@ class TestIntegrals:
             assert np.allclose(masses[row], np.diff(cums), atol=1e-9)
 
 
+def unpadded_store():
+    """Objects with different spans: a time can precede some starts
+    (or follow some ends) but not all."""
+    rng = np.random.default_rng(17)
+    functions = []
+    for lo, hi in [(0.0, 40.0), (10.0, 90.0), (25.0, 60.0), (5.0, 100.0)]:
+        times = np.unique(np.concatenate([[lo, hi], rng.uniform(lo, hi, 6)]))
+        functions.append(
+            PiecewiseLinearFunction(times, rng.uniform(-2.0, 9.0, times.size))
+        )
+    return PLFStore(functions)
+
+
+def edge_times(store):
+    """Times before, on and after the span ends, with interior times
+    and every object's own start and end, in a mixed order."""
+    first, last = float(store.starts.min()), float(store.ends.max())
+    inner = np.linspace(first, last, 7)[1:-1]
+    return np.concatenate(
+        [
+            [first - 5.0, first, last, last + 5.0],
+            inner,
+            store.starts,
+            store.ends,
+            [last + 5.0, first - 5.0, first],
+        ]
+    )
+
+
+def assert_many_matches_single_time(store, ts):
+    cums = store.cumulative_at_many(ts)
+    for row, t in enumerate(ts):
+        assert np.array_equal(cums[row], store.cumulative_at(t))
+        ref = [fn.cumulative(float(t)) for fn in store.functions]
+        assert np.array_equal(cums[row], np.asarray(ref))
+    queries = np.stack([ts, ts[::-1]], axis=1)
+    scores = store.integrals_many(queries)
+    for row, (t1, t2) in enumerate(queries):
+        assert np.array_equal(scores[row], store.integrals(t1, t2))
+
+
+class TestSpanBoundaryRows:
+    """Rows at or past the span edges skip piece location; their bits
+    must not change."""
+
+    def test_padded_store(self, store):
+        assert_many_matches_single_time(store, edge_times(store))
+
+    def test_unpadded_store_with_different_spans(self):
+        store = unpadded_store()
+        assert np.unique(store.starts).size > 1
+        assert_many_matches_single_time(store, edge_times(store))
+
+    def test_tiny_chunks(self, store, monkeypatch):
+        import repro.core.plfstore as mod
+
+        ts = edge_times(store)
+        full = store.cumulative_at_many(ts)
+        monkeypatch.setattr(mod, "_CHUNK_ELEMENTS", store.num_objects * 2)
+        assert np.array_equal(store.cumulative_at_many(ts), full)
+        assert_many_matches_single_time(store, ts)
+
+    def test_mounted_store(self, tmp_path):
+        built = unpadded_store()
+        write_store_segment(tmp_path / "store.seg", built)
+        mounted = PLFStore.from_segments(tmp_path / "store.seg")
+        ts = edge_times(built)
+        assert_many_matches_single_time(mounted, ts)
+        assert np.array_equal(
+            mounted.cumulative_at_many(ts), built.cumulative_at_many(ts)
+        )
+
+    def test_node_message_covering_its_slice_locates_nothing(
+        self, db, monkeypatch
+    ):
+        from repro.core.plfstore import CSRView
+        from repro.distributed import TimePartitionedCluster
+
+        calls = []
+        locate = CSRView.locate_many
+
+        def counting(view, ts):
+            calls.append(ts.size)
+            return locate(view, ts)
+
+        monkeypatch.setattr(CSRView, "locate_many", counting)
+        cluster = TimePartitionedCluster(db, num_nodes=4)
+        node = cluster.nodes[1]
+        lo, hi = cluster.boundaries[1], cluster.boundaries[2]
+        covering = node.partial_scores_many(
+            np.asarray([lo - 1.0, lo]), np.asarray([hi, hi + 1.0])
+        )
+        assert calls == []
+        assert np.array_equal(covering[0], node.database.store().totals)
+        # Rows that cut the slice: t1 and t2 located in one pass.
+        mid = 0.5 * (lo + hi)
+        node.partial_scores_many(np.asarray([lo, mid]), np.asarray([mid, hi]))
+        assert calls == [2]
+
+
 class TestValuesAndTopK:
     def test_values_at(self, db, store):
         for t in probe_times(db):

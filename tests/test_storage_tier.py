@@ -31,7 +31,7 @@ from repro.storage.segments import (
     write_store_segment,
 )
 
-from _support import force_threads, make_random_database
+from _support import force_threads, make_random_database, unpadded_database
 
 _HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -327,6 +327,27 @@ class TestClusterSnapshot:
                 b = mounted.query_scatter_gather(q.t1, q.t2, q.k)
             assert _results_equal(a, b)
         assert cluster.comm.snapshot() == mounted.comm.snapshot()
+
+    @pytest.mark.parametrize("padded", [True, False], ids=["padded", "unpadded"])
+    def test_mounted_time_cluster_batches_bit_identical(self, tmp_path, padded):
+        if padded:
+            db = make_random_database(num_objects=30, avg_segments=8, seed=53)
+        else:
+            db = unpadded_database(num_objects=30)
+        cluster = repro.TimePartitionedCluster(db, 4)
+        cluster.snapshot(tmp_path / "snap")
+        mounted = repro.open(tmp_path / "snap")
+        for a, b in zip(mounted._node_cols, cluster._node_cols):
+            assert (a is None) == (b is None)
+        queries = repro.random_queries(db, count=24, k=6, seed=4)
+        batch = np.asarray([(q.t1, q.t2, q.k) for q in queries])
+        want = cluster.query_many(batch)
+        got = mounted.query_many(batch)
+        assert [r.object_ids for r in got] == [r.object_ids for r in want]
+        assert [np.asarray(r.scores).tobytes() for r in got] == [
+            np.asarray(r.scores).tobytes() for r in want
+        ]
+        assert mounted.comm == cluster.comm
 
     def test_time_cluster_threshold_protocol_survives_mounting(self, tmp_path):
         db = make_random_database(num_objects=15, avg_segments=8, seed=51)
