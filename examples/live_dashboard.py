@@ -1,8 +1,9 @@
 """Live dashboard, served: concurrent widgets over the serving tier.
 
 The PR-6 demo client for ``repro.serving``: a dashboard page holds
-many widgets ("top stations over the last hour / day / week"), each
-an independent client polling ``top_k`` at its own cadence.  All of
+many widgets ("top stations over the last hour / day / week" as of
+page load), each an independent client polling ``top_k`` at its own
+cadence.  All of
 them talk to one :class:`~repro.serving.ServingCoordinator`, which
 queues the single-query requests and flushes adaptive micro-batches
 through the engine's batched pipeline — identical widgets hit the
@@ -45,28 +46,45 @@ POLLS_PER_WIDGET = 12
 K = 5
 
 
-async def widget_client(coordinator, db, label, fraction, log):
-    """One dashboard widget: poll its trailing window top-k."""
-    rng = np.random.default_rng(abs(hash(label)) % (2**32))
-    window = (db.t_max - db.t_min) * fraction
-    for _ in range(POLLS_PER_WIDGET):
-        result = await coordinator.top_k(db.t_max - window, db.t_max, K)
+async def widget_client(
+    coordinator, db, seed, label, fraction, log, polled, appended
+):
+    """One dashboard widget: poll top-k over its trailing window as of
+    page load.
+
+    The first poll caches the window's answer before the feed appends
+    anything (``polled`` tells the feed); every later poll waits until
+    the feed has appended once (``appended``), so the first of them
+    meets a cached answer an append has expired, whatever the timing.
+    """
+    rng = np.random.default_rng(seed)
+    t2 = db.t_max
+    t1 = t2 - (db.t_max - db.t_min) * fraction
+    for poll in range(POLLS_PER_WIDGET):
+        if poll == 1:
+            polled.set()
+            await appended.wait()
+        result = await coordinator.top_k(t1, t2, K)
         log[label] = list(result.object_ids)
         # Poisson-ish think time between polls (open UI, human pace).
         await asyncio.sleep(float(rng.exponential(0.004)))
 
 
-async def feed_task(engine, db):
-    """The live feed: appends keep arriving while widgets poll."""
+async def feed_task(engine, db, polled, appended):
+    """The live feed: appends keep arriving while widgets poll, from
+    the moment every widget has polled once."""
     rng = np.random.default_rng(7)
     now = db.t_max
     step = (db.t_max - db.t_min) / 400
+    for event in polled:
+        await event.wait()
     for _ in range(8):
         await asyncio.sleep(0.006)
         now += step
         station = int(rng.integers(0, 10))
         reading = float(rng.uniform(380, 420))  # a heat wave
         engine.append(station, now, reading)
+        appended.set()
 
 
 async def main(workers: int = 1) -> None:
@@ -80,12 +98,17 @@ async def main(workers: int = 1) -> None:
     print(f"widgets: {[label for label, _ in WIDGETS]}, k = {K} ({mode})\n")
 
     log: dict = {}
+    polled = [asyncio.Event() for _ in WIDGETS]
+    appended = asyncio.Event()
     async with coordinator:
         await asyncio.gather(
-            feed_task(engine, db),
+            feed_task(engine, db, polled, appended),
             *[
-                widget_client(coordinator, db, label, fraction, log)
-                for label, fraction in WIDGETS
+                widget_client(
+                    coordinator, db, seed, label, fraction, log,
+                    polled[seed], appended,
+                )
+                for seed, (label, fraction) in enumerate(WIDGETS)
             ],
         )
 
@@ -110,10 +133,10 @@ async def main(workers: int = 1) -> None:
         )
     assert stats.requests == POLLS_PER_WIDGET * len(WIDGETS)
     # The feed appended mid-run, so epoch bumps must have expired
-    # cached frames — observed directly (a widget re-polled a key
-    # cached at an older epoch) or, in pooled mode, via the pool
-    # re-snapshotting after appends (slower per-batch latency can
-    # let the short feed finish before any stale lookup lands).
+    # cached frames — observed directly (every widget re-polls its key
+    # after the first append, which expired the answer its first poll
+    # cached) or, in pooled mode, via the pool re-snapshotting after
+    # appends.
     if workers > 1:
         assert cache.stale > 0 or stats.pool_resyncs > 0, (
             "expected append epochs to expire cached frames or "

@@ -12,8 +12,10 @@ cover, each on a generated Temp-like database:
 * ``build``  — per breakpoint budget ``r``: QUERY1 / QUERY2 /
   BREAKPOINTS2 builds, scalar vs batched (inline), and the QUERY1
   build under its automatic two-thread split rule; plus 16- and
-  64-row EXACT3 ``top_k_many`` batches, forced inline vs the
-  automatic split (the ``q=16`` and ``q=64`` points);
+  64-row batches of the three kernels that split their rows — EXACT3
+  ``top_k_many``, the instant tree's ``query_many`` and a 4-node
+  time cluster's ``query_many`` — forced inline vs the automatic
+  split (the ``q=16`` and ``q=64`` points);
 * ``chaos``  — replicated object- and time-partitioned clusters served
   query by query at a sweep of per-call fault rates (transient rate
   ``x``, permanent crash rate ``x / 40``, fresh cluster per rate):
@@ -120,17 +122,18 @@ def run_kernel(args) -> Tuple[dict, List[dict]]:
 # ----------------------------------------------------------------------
 @contextlib.contextmanager
 def inline():
-    """The automatic two-thread splits (EXACT3 batches, the QUERY1
+    """The automatic two-thread splits (the row splits of EXACT3
+    batches, the cumulative kernel and the instant tree; the QUERY1
     build) switched off: their thresholds moved out of reach."""
     from repro.approximate import query1
-    from repro.exact import exact3
+    from repro.parallel import executor
 
-    saved = query1.SPLIT_WORK, exact3.SPLIT_WORK
-    query1.SPLIT_WORK = exact3.SPLIT_WORK = float("inf")
+    saved = query1.SPLIT_WORK, executor.SPLIT_WORK
+    query1.SPLIT_WORK = executor.SPLIT_WORK = float("inf")
     try:
         yield
     finally:
-        query1.SPLIT_WORK, exact3.SPLIT_WORK = saved
+        query1.SPLIT_WORK, executor.SPLIT_WORK = saved
 
 
 def build_point(database, r: int, kmax: int, repeats: int, split: bool) -> dict:
@@ -187,43 +190,59 @@ def build_point(database, r: int, kmax: int, repeats: int, split: bool) -> dict:
     return point
 
 
-def exact3_point(
-    engine, rows: int, kmax: int, repeats: int, seed: int, split: bool
+def batch_point(
+    engine, cluster, rows: int, kmax: int, repeats: int, seed: int,
+    split: bool,
 ) -> dict:
-    """A ``rows``-row EXACT3 ``top_k_many``, inline and (with
-    ``split``) under the automatic split rule."""
-    from repro.datasets import sample_workload
+    """``rows``-row batches of the kernels that split their rows —
+    EXACT3 ``top_k_many``, the instant tree's and the time
+    ``cluster``'s ``query_many`` — inline and (with ``split``) under
+    the automatic split rule."""
+    from repro.datasets import sample_instant_workload, sample_workload
 
-    batch = sample_workload(engine.database, count=rows, kmax=kmax, seed=seed)
-    key = f"exact3_q{rows}"
+    database = engine.database
+    batch = sample_workload(database, count=rows, kmax=kmax, seed=seed)
+    ts, ks = sample_instant_workload(database, count=rows, kmax=kmax, seed=seed)
+    runs = {
+        "exact3": lambda: engine.top_k_many(batch),
+        "instant": lambda: engine.instant_top_k_many(ts, ks),
+        "cluster_time": lambda: cluster.query_many(batch),
+    }
     point = {"label": f"q={rows}"}
-    with inline():
-        point[f"{key}_s"], _ = timed(lambda: engine.top_k_many(batch), repeats)
-    if split:
-        parallel_s, _ = timed(lambda: engine.top_k_many(batch), repeats)
-        point[f"{key}_parallel_s"] = parallel_s
-        point[f"{key}_parallel_speedup"] = point[f"{key}_s"] / max(
-            parallel_s, 1e-12
-        )
+    for name, run in runs.items():
+        key = f"{name}_q{rows}"
+        with inline():
+            point[f"{key}_s"], _ = timed(run, repeats)
+        if split:
+            parallel_s, _ = timed(run, repeats)
+            point[f"{key}_parallel_s"] = parallel_s
+            point[f"{key}_parallel_speedup"] = point[f"{key}_s"] / max(
+                parallel_s, 1e-12
+            )
     return point
 
 
 def run_build(args) -> Tuple[dict, List[dict]]:
     from repro.engine import TemporalRankingEngine
+    from repro.parallel import executor
 
-    # Decided at measurement time: on one core the rule never splits,
-    # so a split point would time the inline path twice; it is left
-    # out of the report (and the gate skips keys absent on either
+    # Decided at measurement time: on one usable CPU the rule never
+    # splits, so a split point would time the inline path twice; it is
+    # left out of the report (and the gate skips keys absent on either
     # side) rather than recorded as a 1x "speedup".
-    split = (os.cpu_count() or 1) >= 2
+    split = executor.usable_cpus() >= 2
     database = _database(args)
     points = [
         build_point(database, r, args.kmax, args.repeats, split)
         for r in args.r_list
     ]
     engine = TemporalRankingEngine(database)
+    engine.prepare(instant=True)
+    cluster = engine.cluster(4, partition="time")
     points.extend(
-        exact3_point(engine, rows, args.kmax, args.repeats, args.seed, split)
+        batch_point(
+            engine, cluster, rows, args.kmax, args.repeats, args.seed, split
+        )
         for rows in (16, 64)
     )
     return _config(args, "r_list", "kmax", "repeats"), points
@@ -389,6 +408,9 @@ SUITES = {
         gated_ratios=(
             "query1_speedup", "bp2_speedup", "query1_parallel_speedup",
             "exact3_q16_parallel_speedup", "exact3_q64_parallel_speedup",
+            "instant_q16_parallel_speedup", "instant_q64_parallel_speedup",
+            "cluster_time_q16_parallel_speedup",
+            "cluster_time_q64_parallel_speedup",
         ),
         # Every smoke shape sits below both split thresholds, so the
         # split points time the inline path (ratios ~1).

@@ -48,6 +48,7 @@ for you).
 
 from __future__ import annotations
 
+import threading
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -56,10 +57,14 @@ from repro.core import buildcount
 from repro.core.errors import ReproError
 from repro.core.plf import PiecewiseLinearFunction
 from repro.core.results import TopKResult, top_k_from_arrays
+from repro.parallel.executor import split_rows
 
 #: Cap on temporary elements per chunk in batched many-query kernels;
 #: bounds peak memory of (q, m) broadcasts to ~a few hundred MB.
 _CHUNK_ELEMENTS = 4 << 20
+
+#: Serializes :meth:`PLFStore.csr_view` creation across threads.
+_VIEW_LOCK = threading.Lock()
 
 
 def row_chunks(q: int, m: int) -> List[slice]:
@@ -87,13 +92,37 @@ def isin_sorted(sorted_values: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return (idx < sorted_values.size) & (sorted_values[clamped] == queries)
 
 
+def interior_knot_index(
+    knot_times: np.ndarray, offsets: np.ndarray
+) -> tuple:
+    """``(times, rows)``: every knot except each object's first and
+    last, sorted by time, and the object row of each (int32).
+
+    :meth:`CSRView.locate_many`'s index, built once per view by one
+    unstable argsort (knots of equal time all land in the same row of
+    the count, so their order is immaterial).
+    """
+    m = offsets.size - 1
+    interior = np.ones(knot_times.size, dtype=bool)
+    interior[offsets[:-1]] = False
+    interior[offsets[1:] - 1] = False
+    times = knot_times[interior]
+    order = np.argsort(times)
+    times = times[order]
+    rows = np.repeat(
+        np.arange(m, dtype=np.int32), np.diff(offsets) - 2
+    )[order]
+    return times, rows
+
+
 class CSRView:
     """A shareable view of a store's CSR kernel arrays.
 
-    The view bundles exactly the seven flat arrays the batch kernels
-    read — no ``m`` Python function objects, no lazy caches.  The
-    arithmetic here *is* the store's: :class:`PLFStore` delegates to
-    its cached view.
+    The view bundles the seven flat arrays the batch kernels read — no
+    ``m`` Python function objects — plus two derived per-knot arrays
+    built once with it: :attr:`stab_slopes` and the time-sorted
+    interior-knot index of :meth:`locate_many`.  The arithmetic here
+    *is* the store's: :class:`PLFStore` delegates to its cached view.
     """
 
     __slots__ = (
@@ -104,8 +133,9 @@ class CSRView:
         "starts",
         "ends",
         "totals",
-        "_knot_obj",
-        "_stab_slopes",
+        "stab_slopes",
+        "index_times",
+        "index_rows",
     )
 
     def __init__(
@@ -125,31 +155,25 @@ class CSRView:
         self.starts = starts
         self.ends = ends
         self.totals = totals
-        # Knot -> object row map of :meth:`locate_many` and the
-        # per-knot :attr:`stab_slopes`; derived on first use.
-        self._knot_obj: Optional[np.ndarray] = None
-        self._stab_slopes: Optional[np.ndarray] = None
+        # Chord slope (v[j+1] - v[j]) / (t[j+1] - t[j]) of the piece
+        # starting at each knot j (0 for a zero-width piece; meaningless
+        # at an object's last knot): elementwise the slope expression
+        # of the EXACT3 stab and the cumulative kernels, so gathering it
+        # is bit-identical to computing it per pair.
+        width = np.diff(knot_times)
+        self.stab_slopes = np.where(
+            width > 0,
+            np.diff(knot_values) / np.where(width > 0, width, 1.0),
+            0.0,
+        )
+        self.index_times, self.index_rows = interior_knot_index(
+            knot_times, offsets
+        )
 
     @property
     def num_objects(self) -> int:
         """``m``."""
         return int(self.offsets.size - 1)
-
-    @property
-    def stab_slopes(self) -> np.ndarray:
-        """Chord slope ``(v[j+1] - v[j]) / (t[j+1] - t[j])`` of the
-        piece starting at each knot ``j`` (0 for a zero-width piece;
-        meaningless at an object's last knot).  Elementwise the slope
-        expression of the EXACT3 stab and the cumulative kernels, so
-        gathering it is bit-identical to computing it per pair."""
-        if self._stab_slopes is None:
-            width = np.diff(self.knot_times)
-            self._stab_slopes = np.where(
-                width > 0,
-                np.diff(self.knot_values) / np.where(width > 0, width, 1.0),
-                0.0,
-            )
-        return self._stab_slopes
 
     def _locate(self, tc: np.ndarray) -> np.ndarray:
         """Flat knot index of the segment containing one clamped time.
@@ -161,8 +185,8 @@ class CSRView:
         with ``knot_times[j] <= tc`` — the same piece the scalar
         ``searchsorted(times, t, "right") - 1`` selects — by a shared
         bisection over the CSR arrays: ``O(m log max_n)`` work, where
-        the time-grid kernel :meth:`locate_many` pays ``O(K)`` per
-        call.
+        the time-grid kernel :meth:`locate_many` walks up to every
+        interior knot per call.
         """
         shape = tc.shape
         low = np.broadcast_to(self.offsets[:-1], shape).copy()
@@ -186,38 +210,49 @@ class CSRView:
 
         ``located[r, i]`` is the flat index of the largest segment-left
         knot of object ``i`` with time ``<= ts[r]``, clamped to the
-        object's piece range — ``searchsorted(times_i, ts[r], "right")
-        - 1`` per pair, :meth:`_locate`'s selection — with no loop over
-        objects and no ``(q, m)`` bisection rounds.  One global
-        ``searchsorted`` ranks every knot among the sorted times; a
-        per-object histogram of those ranks, cumsummed, gives
-        ``#{knots of i with time <= ts[r]}`` for every pair (a knot
-        counts for rank ``r`` iff fewer than ``r + 1`` times lie
-        strictly below it, which is exactly ``time <= ts[r]``; ties
-        between equal times cannot overcount because any knot above
-        them ranks past the whole duplicate run).  Out-of-span times
-        land on the first/last piece, whose value the callers'
-        boundary masks replace.  Every batched pipeline (EXACT3 stabs,
-        the instant tree, ``cumulative_at_many``, ``values_at_many``,
-        the top-list builders) locates through this one kernel.
+        object's piece range — ``clip(searchsorted(times_i, ts[r],
+        "right") - 1, 0, n_i - 2)`` per pair, :meth:`_locate`'s
+        selection — with no loop over objects and no ``(q, m)``
+        bisection rounds.
+
+        Every object has ``>= 2`` knots with strictly increasing times,
+        so that clipped count equals ``offsets[i] + #{interior knots of
+        i with time <= ts[r]}``: the first knot is always counted
+        (before the span the clip lifts 0 back to it), the last never
+        is (past the span the clip drops it).  The view's time-sorted
+        interior-knot index answers every count at once: ``q`` binary
+        searches cut it at the sorted times, the knots between two
+        consecutive cuts are histogrammed per object into the row of
+        the later time (the earliest time's row seeded with
+        ``offsets[:-1]``), and summing the rows in time order, in
+        place, turns counts into piece indices — ``O(q log K + L + q
+        m)`` for the ``L <= K`` interior knots below the largest time,
+        where ranking every knot into the times cost ``O(K log q)``.
+        Rows are keyed by the caller's order throughout, so nothing is
+        permuted back.  Out-of-span times land on the first/last
+        piece, whose value the callers' boundary masks replace.  Every
+        batched pipeline (EXACT3 stabs, the instant tree,
+        ``cumulative_at_many``, ``values_at_many``, the top-list
+        builders) locates through this one kernel.
         """
         q = ts.size
         m = self.num_objects
-        if self._knot_obj is None:
-            self._knot_obj = np.repeat(
-                np.arange(m, dtype=np.int64), np.diff(self.offsets)
-            )
         order = np.argsort(ts)
-        cell = np.searchsorted(ts[order], self.knot_times, side="left")
-        cell *= m
-        cell += self._knot_obj
-        counts = np.bincount(cell, minlength=(q + 1) * m).reshape(q + 1, m)
-        np.cumsum(counts, axis=0, out=counts)
-        # Row r of counts belongs to the r-th smallest time.
-        located = np.empty((q, m), dtype=np.int64)
-        located[order] = counts[:q]
-        located += self.offsets[:-1] - 1
-        np.clip(located, self.offsets[:-1], self.offsets[1:] - 2, out=located)
+        cuts = np.searchsorted(self.index_times, ts[order], side="right")
+        below = int(cuts[-1]) if q else 0
+        # Each knot below the largest time goes to the row of the first
+        # time at or after it: cell = caller row * m + object row.
+        cell = np.repeat(order * m, np.diff(cuts, prepend=0))
+        cell += self.index_rows[:below]
+        located = np.bincount(cell, minlength=q * m).reshape(q, m)
+        del cell
+        if q:
+            previous = located[order[0]]
+            previous += self.offsets[:-1]
+            for row in order[1:].tolist():
+                current = located[row]
+                np.add(current, previous, out=current)
+                previous = current
         return located
 
     def locate_grid(self, tc: np.ndarray) -> np.ndarray:
@@ -552,19 +587,27 @@ class PLFStore:
         """The kernel-array view (cached; arrays are shared).
 
         The store's own kernels delegate here, and the batched EXACT3
-        answers read it directly — no function objects, no lazy
-        caches, same arithmetic.
+        answers read it directly — no function objects, same
+        arithmetic.  Creating it builds the view's derived arrays
+        (:attr:`CSRView.stab_slopes`, the :meth:`CSRView.locate_many`
+        index) once, before any kernel temporaries exist; a mounted
+        store builds them in memory and never persists them.
         """
         if self._csr is None:
-            self._csr = CSRView(
-                self.knot_times,
-                self.knot_values,
-                self.offsets,
-                self.prefix_masses,
-                self.starts,
-                self.ends,
-                self.totals,
-            )
+            # One builder per view: concurrent first callers wait for
+            # the first one's view (and its index sort) instead of
+            # sorting again.
+            with _VIEW_LOCK:
+                if self._csr is None:
+                    self._csr = CSRView(
+                        self.knot_times,
+                        self.knot_values,
+                        self.offsets,
+                        self.prefix_masses,
+                        self.starts,
+                        self.ends,
+                        self.totals,
+                    )
         return self._csr
 
     def knot_time_set(self) -> np.ndarray:
@@ -599,24 +642,34 @@ class PLFStore:
         ``>=`` every end is :attr:`totals` — exactly what the boundary
         masks select — so only the remaining rows are located and
         evaluated (a time-partitioned shard, padded to its slice, meets
-        such rows for every query that covers the whole slice).  That
-        work is chunked over rows (:func:`row_chunks`) to bound the
-        transient ``(q, m)`` footprint; pieces come from
-        :meth:`CSRView.locate_many` and the arithmetic is elementwise,
-        so results do not depend on the chunking.
+        such rows for every query that covers the whole slice).  Those
+        rows split over two threads when the work pays for it
+        (:func:`~repro.parallel.executor.split_rows`), each half
+        writing its own rows of the result, and each half is chunked
+        over rows (:func:`row_chunks`) to bound the transient ``(q,
+        m)`` footprint; pieces come from :meth:`CSRView.locate_many`
+        and the arithmetic is elementwise, so results depend on
+        neither.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
-        out = np.empty((ts.size, self.num_objects), dtype=np.float64)
+        view = self.csr_view()
+        m = self.num_objects
+        out = np.empty((ts.size, m), dtype=np.float64)
         after = ts >= self.ends.max()
         before = ts <= self.starts.min()
         out[after] = self.totals
         out[before] = 0.0
         inner = np.flatnonzero(~(before | after))
-        for rows in row_chunks(inner.size, self.num_objects):
-            out[inner[rows]] = self._cumulative_chunk(ts[inner[rows]])
+
+        def fill(part: slice) -> None:
+            own = inner[part]
+            for rows in row_chunks(own.size, m):
+                out[own[rows]] = self._cumulative_chunk(view, ts[own[rows]])
+
+        split_rows(fill, inner.size, m)
         return out
 
-    def _cumulative_chunk(self, ts: np.ndarray) -> np.ndarray:
+    def _cumulative_chunk(self, view: CSRView, ts: np.ndarray) -> np.ndarray:
         """One chunk of :meth:`cumulative_at_many`.
 
         Identical arithmetic to :meth:`CSRView._cumulative_clamped` —
@@ -625,7 +678,6 @@ class PLFStore:
         times strictly increase within an object), so every float is
         bit-identical to the single-time path.
         """
-        view = self.csr_view()
         j = view.locate_many(ts)
         col = ts[:, None]
         tc = np.clip(col, self.starts, self.ends)

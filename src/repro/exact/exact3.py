@@ -25,7 +25,7 @@ from repro.core.plfstore import isin_sorted, row_chunks
 from repro.core.queries import TopKQuery
 from repro.core.results import TopKResult, top_k_from_arrays
 from repro.exact.base import RankingMethod
-from repro.parallel.executor import chunk_ranges, split_threads, thread_map
+from repro.parallel.executor import split_rows
 from repro.storage.cache import LRUCache
 from repro.storage.device import BlockDevice
 from repro.storage.stats import IOStats
@@ -34,16 +34,6 @@ from repro.intervaltree.tree import ExternalIntervalTree
 #: Value-row layout (after the implicit lo/hi columns): obj_id,
 #: v_at_lo, v_at_hi, prefix mass at hi.
 _VALUE_COLUMNS = 4
-
-
-#: W*: an EXACT3 batch of ``rows`` queries over ``m`` objects splits
-#: over two threads when ``rows * m`` reaches this.  Measured on 2
-#: vCPUs (Temp data, n_avg=40, split vs inline, three runs): 64 rows
-#: gain 1.85-2.05x at m=10^4 and 1.9-2.1x at m=2500, 16 rows at m=10^4
-#: 1.4-1.5x; at rows*m = 8e4 the gain is 1.1-1.6x, and below 4e4 the
-#: split loses (0.64-0.98x): each chunk repays a pass over all knots
-#: in ``locate_many``.
-SPLIT_WORK = 1 << 17
 
 
 def stab_cumulatives_many(view, ts: np.ndarray) -> np.ndarray:
@@ -106,20 +96,16 @@ def exact3_batch_answers(
     """Batched EXACT3 answers for non-knot query times.
 
     Pure function of the CSR view — no devices, no IO counters (the
-    caller charges IO).  A batch with ``rows * m >= SPLIT_WORK`` splits
-    into two contiguous row chunks answered on two threads (when the
-    host has two CPUs and this is not a serving-pool worker; see
-    :func:`~repro.parallel.executor.split_threads`), concatenated in
+    caller charges IO).  A large enough batch splits into two
+    contiguous row chunks answered on two threads
+    (:func:`~repro.parallel.executor.split_rows`), concatenated in
     order: the same elementwise arithmetic per row, hence identical
     bits.
     """
-    threads = split_threads(t1s.size * view.num_objects, SPLIT_WORK)
-    parts = thread_map(
-        lambda bounds: _answers(
-            view, object_ids, aggregate, t1s, t2s, ks, slice(*bounds)
-        ),
-        chunk_ranges(t1s.size, threads),
-        threads,
+    parts = split_rows(
+        lambda rows: _answers(view, object_ids, aggregate, t1s, t2s, ks, rows),
+        t1s.size,
+        view.num_objects,
     )
     return [answer for part in parts for answer in part]
 

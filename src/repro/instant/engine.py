@@ -30,6 +30,7 @@ from repro.core.errors import IndexStateError, InvalidQueryError
 from repro.core.plfstore import isin_sorted, row_chunks
 from repro.core.queries import integral_ks
 from repro.core.results import TopKResult, top_k_from_arrays
+from repro.parallel.executor import split_rows
 from repro.storage.device import BlockDevice
 from repro.storage.stats import IOStats
 from repro.intervaltree.tree import ExternalIntervalTree
@@ -158,7 +159,11 @@ class InstantIntervalTree:
         snapshot or cost model is unavailable (old pickles).  With an
         attached buffer pool the modeled block sequences are replayed
         through the LRU in query order, so hits, charges, and final
-        pool contents match the scalar loop's.
+        pool contents match the scalar loop's.  A large enough batch
+        of non-knot times splits into two contiguous row chunks
+        answered on two threads
+        (:func:`~repro.parallel.executor.split_rows`): the same
+        arithmetic per row, hence identical answers.
         """
         if not self._built:
             raise IndexStateError("engine not built")
@@ -189,16 +194,30 @@ class InstantIntervalTree:
             self.device.stats.record_reads(
                 int(self.tree.modeled_stab_reads_many(ts[regular]).sum())
             )
+        view = store.csr_view()
+        rts, rks = ts[regular], ks[regular]
+        parts = split_rows(
+            lambda rows: self._stab_answers(view, rts[rows], rks[rows]),
+            rts.size,
+            store.num_objects,
+        )
+        answers = [answer for part in parts for answer in part]
+        for pos, idx in enumerate(regular):
+            results[int(idx)] = answers[pos]
+        return results
+
+    def _stab_answers(self, view, ts: np.ndarray, ks: np.ndarray):
+        """:meth:`query_many`'s answers for non-knot times ``ts``: the
+        scalar stab's interpolation, per object, on the located
+        pieces."""
         from repro.approximate.toplists import top_k_rows
 
-        view = store.csr_view()
-        m = store.num_objects
-        rts = ts[regular]
-        k_eff = np.empty(rts.size, dtype=np.int64)
+        m = view.num_objects
+        k_eff = np.empty(ts.size, dtype=np.int64)
         value_chunks: List[np.ndarray] = []
-        for rows in row_chunks(rts.size, m):
-            col = rts[rows, None]
-            j = view.locate_many(rts[rows])
+        for rows in row_chunks(ts.size, m):
+            col = ts[rows, None]
+            j = view.locate_many(ts[rows])
             lo = view.knot_times[j]
             hi = view.knot_times[j + 1]
             v_lo = view.knot_values[j]
@@ -213,13 +232,10 @@ class InstantIntervalTree:
             # clamped to the hit count so a pad is never selected.
             hit = (view.starts <= col) & (col <= view.ends)
             np.copyto(values, -np.inf, where=~hit)
-            k_eff[rows] = np.minimum(ks[regular[rows]], hit.sum(axis=1))
+            k_eff[rows] = np.minimum(ks[rows], hit.sum(axis=1))
             value_chunks.append(values)
         matrix = value_chunks[0] if len(value_chunks) == 1 else np.vstack(value_chunks)
-        answers = top_k_rows(self._object_ids, matrix, k_eff)
-        for pos, idx in enumerate(regular):
-            results[int(idx)] = answers[pos]
-        return results
+        return top_k_rows(self._object_ids, matrix, k_eff)
 
     @property
     def io_stats(self) -> IOStats:

@@ -1,16 +1,23 @@
 """Automatic two-thread splits, and the serving tier's process pool.
 
-Two kernels split their work over a second core on their own: EXACT3's
-batched stabs (:func:`repro.exact.exact3.exact3_batch_answers`) and
-QUERY1's per-left-endpoint top-list batches.  Each splits only when its
-work reaches the threshold measured to pay for the split
+Four kernels split their work over a second core on their own.  Three
+split a batch's rows through :func:`split_rows` under one threshold,
+:data:`SPLIT_WORK`: EXACT3's batched stabs
+(:func:`repro.exact.exact3.exact3_batch_answers`), the cumulative
+kernel under the time-cluster nodes, the batched scores and the
+top-list builds (:meth:`repro.core.plfstore.PLFStore.cumulative_at_many`),
+and the instant tree's batched stabs
+(:meth:`repro.instant.engine.InstantIntervalTree.query_many`).  QUERY1's
+per-left-endpoint top-list batches split under their own threshold
+(:data:`repro.approximate.query1.SPLIT_WORK`).  Each splits only when
+its work reaches the threshold measured to pay for the split
 (:func:`split_threads`), into two contiguous chunks run by
 :func:`thread_map` — the NumPy passes release the GIL for most of a
 chunk.  Every chunk is a pure function of the arrays its closure
-captured, results come back in chunk order, and the caller performs
-all device writes and IO accounting itself, so split runs are
-byte-identical to inline ones and concurrent splits share no state
-(``tests/test_build_equivalence.py``).
+captured (or writes rows no other chunk writes), results come back in
+chunk order, and the caller performs all device writes and IO
+accounting itself, so split runs are byte-identical to inline ones and
+concurrent splits share no state (``tests/test_build_equivalence.py``).
 
 :class:`WorkerPool` is the serving pool's long-lived process pool.
 """
@@ -117,17 +124,53 @@ def process_context() -> multiprocessing.context.BaseContext:
 # ----------------------------------------------------------------------
 # automatic splits
 # ----------------------------------------------------------------------
+#: W*: a batch of ``rows`` query times over ``m`` objects splits over
+#: two threads in :func:`split_rows` when ``rows * m`` reaches this.
+#: Re-measured for all three kernels once piece location stopped
+#: ranking every knot per call (2 vCPUs, Temp data, n_avg=40, split
+#: vs inline, best of 7, two runs with the second CPU free): at
+#: rows*m = 1.6e5 the split gains 1.1-3.1x (64 rows at m=10^4:
+#: 1.4-2.0x); at 8e4 it reads 0.83-1.65x and at 4e4 0.82-1.27x; at
+#: 2e4 and below it loses (0.46-0.85x).  So the value first measured
+#: for EXACT3 alone stands.
+SPLIT_WORK = 1 << 17
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the
+    platform has one (a process pinned to one CPU counts one, whatever
+    the host has), else the host's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def split_threads(
     work: int, threshold: float, cpus: Optional[int] = None
 ) -> int:
     """Threads (1 or 2) for a kernel of ``work`` elements: two when
     ``work`` reaches ``threshold`` (where a split was measured to pay)
-    and two CPUs are usable.  ``cpus`` defaults to the host's count, or
-    1 inside a :class:`WorkerPool` worker, whose pool already spreads
-    batches over the cores."""
+    and two CPUs are usable.  ``cpus`` defaults to
+    :func:`usable_cpus`, or 1 inside a :class:`WorkerPool` worker,
+    whose pool already spreads batches over the cores."""
     if cpus is None:
-        cpus = 1 if worker_state() is not None else (os.cpu_count() or 1)
+        cpus = 1 if worker_state() is not None else usable_cpus()
     return 2 if cpus >= 2 and work >= threshold else 1
+
+
+def split_rows(fn: Callable[[slice], Any], rows: int, m: int) -> list:
+    """``fn`` over contiguous row slices covering ``range(rows)``: two
+    slices on two threads when ``rows * m`` reaches :data:`SPLIT_WORK`
+    (:func:`split_threads`), else one inline call.  Results come back
+    in row order.  Each call must only read shared arrays or write its
+    own rows; anything built lazily on first use must exist before the
+    split."""
+    threads = split_threads(rows * m, SPLIT_WORK)
+    return thread_map(
+        fn,
+        [slice(lo, hi) for lo, hi in chunk_ranges(rows, threads)],
+        threads,
+    )
 
 
 def thread_map(

@@ -72,17 +72,19 @@ def breakpoints_equivalent(a, b, atol: float = 1e-6) -> bool:
 
 
 def force_threads(monkeypatch, module, threads: int) -> list:
-    """Run ``module``'s automatic split (EXACT3 batches, the QUERY1
-    build) inline (``threads=1``) or over two threads (``threads=2``)
-    whatever the work and the host's CPUs, by moving the module's
-    ``SPLIT_WORK`` threshold; returns the thread counts the split
-    points then actually ran on."""
+    """Run ``module``'s automatic split inline (``threads=1``) or over
+    two threads (``threads=2``) whatever the work and the CPUs this
+    process may use, by moving the module's ``SPLIT_WORK`` threshold;
+    returns the thread counts the split points then actually ran on.
+    ``module`` is :mod:`repro.parallel.executor` for the row splits
+    (EXACT3 batches, the cumulative kernel, the instant tree) or
+    :mod:`repro.approximate.query1` for the QUERY1 build."""
     from repro.parallel import executor
 
     monkeypatch.setattr(
         module, "SPLIT_WORK", 0 if threads == 2 else float("inf")
     )
-    monkeypatch.setattr(executor.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(executor, "usable_cpus", lambda: 2)
     ran = []
     real = module.thread_map
 

@@ -40,7 +40,7 @@ from repro.core.database import TemporalDatabase
 from repro.core.queries import TopKQuery
 from repro.datasets import sample_workload
 from repro.exact import Exact3
-from repro.exact import exact3 as exact3_module
+from repro.parallel import executor as executor_module
 from repro.storage import BlockDevice
 
 from _support import force_threads, make_random_database, random_intervals
@@ -513,13 +513,46 @@ class TestConcurrentFanOut:
             method.query_many(batch) for method, batch in zip(methods, batches)
         ]
         # Both batches above the (moved) threshold: each caller splits.
-        ran = force_threads(monkeypatch, exact3_module, 2)
+        ran = force_threads(monkeypatch, executor_module, 2)
         for _ in range(3):
             got = _run_concurrently([
                 lambda method=method, batch=batch: method.query_many(batch)
                 for method, batch in zip(methods, batches)
             ])
             assert got == expected
+        assert ran == [2] * 6
+
+
+    def test_concurrent_splits_on_a_cold_view_build_its_index_once(
+        self, databases, monkeypatch
+    ):
+        """Two callers split ``cumulative_at_many`` on one store whose
+        view does not exist yet: the view (and its knot-index sort) is
+        built once, and both answers equal the inline one."""
+        import repro.core.plfstore as plfstore
+        from repro.core import PLFStore
+
+        database = databases[1]
+        ts = np.linspace(*database.span, 96)
+        expected = database.store().cumulative_at_many(ts)
+        sorts = []
+        real = plfstore.interior_knot_index
+
+        def counting(times, offsets):
+            sorts.append(times.size)
+            return real(times, offsets)
+
+        monkeypatch.setattr(plfstore, "interior_knot_index", counting)
+        ran = force_threads(monkeypatch, executor_module, 2)
+        for _ in range(3):
+            cold = PLFStore(
+                [obj.function for obj in database], database.object_ids()
+            )
+            got = _run_concurrently([
+                lambda: cold.cumulative_at_many(ts) for _ in range(2)
+            ])
+            assert all(np.array_equal(part, expected) for part in got)
+        assert len(sorts) == 3
         assert ran == [2] * 6
 
 

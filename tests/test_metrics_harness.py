@@ -20,6 +20,7 @@ from repro.bench import (
     sweep,
 )
 from repro.exact import Exact3
+from repro.parallel import usable_cpus
 
 from _support import make_random_database
 
@@ -275,7 +276,7 @@ class TestCheckBaseline:
         measured = set().union(*report["results"])
         for key in suite.gated_keys + suite.gated_ratios:
             # Split keys exist only where the host has the cores.
-            if "parallel" in key and os.cpu_count() < 2:
+            if "parallel" in key and usable_cpus() < 2:
                 assert key not in measured
             else:
                 assert key in measured, f"{name}: {key} is gated, not measured"
@@ -285,7 +286,9 @@ class TestCheckBaseline:
     ):
         """Decided at measurement time: a 1-core host reports no
         fan-out point at all (nothing to skip-and-flag in the gate)."""
-        monkeypatch.setattr(bench.os, "cpu_count", lambda: 1)
+        from repro.parallel import executor
+
+        monkeypatch.setattr(executor, "usable_cpus", lambda: 1)
         args = bench.parse_args(
             ["build", "--m", "40", "--navg", "8", *TINY["build"]]
         )

@@ -117,10 +117,26 @@ class TestSplitThreads:
         assert split_threads(10**9, 100, cpus=1) == 1
 
     def test_default_cpus_follow_the_host(self, monkeypatch):
+        monkeypatch.setattr(
+            executor_module.os, "sched_getaffinity", lambda pid: {0, 1},
+            raising=False,
+        )
+        assert split_threads(100, 100) == 2
+        # Without an affinity call, the host's count decides.
+        monkeypatch.delattr(executor_module.os, "sched_getaffinity")
         monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 2)
         assert split_threads(100, 100) == 2
         monkeypatch.setattr(executor_module.os, "cpu_count", lambda: None)
         assert split_threads(100, 100) == 1
+
+    def test_a_process_pinned_to_one_cpu_never_splits(self, monkeypatch):
+        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(
+            executor_module.os, "sched_getaffinity", lambda pid: {3},
+            raising=False,
+        )
+        assert executor_module.usable_cpus() == 1
+        assert split_threads(10**9, 0) == 1
 
     def test_a_pool_worker_never_splits(self, monkeypatch):
         monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 8)

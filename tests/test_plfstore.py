@@ -93,6 +93,24 @@ def store_and_grid(draw):
     return PLFStore(functions), np.asarray(times, dtype=np.float64)
 
 
+def reference_locate(store, ts):
+    """``locate_many`` by its definition: one ``searchsorted`` per
+    object, clipped to the object's piece range."""
+    bounds = store.offsets.tolist()
+    reference = np.empty((ts.size, store.num_objects), np.int64)
+    for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        piece = np.searchsorted(store.knot_times[lo:hi], ts, "right") - 1
+        reference[:, i] = np.clip(piece + lo, lo, hi - 2)
+    return reference
+
+
+def assert_locates_like_reference(store, ts):
+    located = store.csr_view().locate_many(ts)
+    assert located.dtype == np.int64
+    assert located.shape == (ts.size, store.num_objects)
+    assert np.array_equal(located, reference_locate(store, ts))
+
+
 class TestGridLocationKernel:
     """The one time-grid piece-location kernel against its definition."""
 
@@ -105,13 +123,7 @@ class TestGridLocationKernel:
             write_store_segment(path, built)
             for store in (built, PLFStore.from_segments(path)):
                 view = store.csr_view()
-                bounds = store.offsets.tolist()
-                reference = np.empty((ts.size, store.num_objects), np.int64)
-                for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-                    piece = np.searchsorted(
-                        store.knot_times[lo:hi], ts, "right"
-                    ) - 1
-                    reference[:, i] = np.clip(piece + lo, lo, hi - 2)
+                reference = reference_locate(store, ts)
                 assert np.array_equal(view.locate_many(ts), reference)
                 clamped = np.clip(ts[:, None], view.starts, view.ends)
                 assert np.array_equal(view.locate_grid(clamped), reference)
@@ -248,6 +260,101 @@ class TestSpanBoundaryRows:
         mid = 0.5 * (lo + hi)
         node.partial_scores_many(np.asarray([lo, mid]), np.asarray([mid, hi]))
         assert calls == [2]
+
+
+def two_knot_store():
+    """Mixed knot counts, three objects with no interior knot at all."""
+    functions = [
+        PiecewiseLinearFunction([0.0, 100.0], [1.0, 3.0]),
+        PiecewiseLinearFunction([10.0, 20.0, 30.0, 60.0], [2.0, 0.5, 4.0, 1.0]),
+        PiecewiseLinearFunction([20.0, 30.0], [5.0, 5.0]),
+        PiecewiseLinearFunction([30.0, 45.0, 70.0], [0.0, 8.0, 2.0]),
+        PiecewiseLinearFunction([50.0, 90.0], [7.0, 1.0]),
+    ]
+    return PLFStore(functions)
+
+
+def adversarial_times(store):
+    """Knot-coincident times (every knot, some twice), times outside
+    every span, and times strictly between knots, shuffled."""
+    knots = store.knot_times
+    rng = np.random.default_rng(4)
+    first, last = float(store.starts.min()), float(store.ends.max())
+    ts = np.concatenate([
+        knots,
+        knots[::3],
+        [first - 10.0, first - 1.0, last + 1.0, last + 10.0, -np.inf],
+        rng.uniform(first, last, 25),
+    ])
+    return rng.permutation(ts)
+
+
+class TestSortedKnotIndex:
+    """``locate_many`` reads a time-sorted index of the interior knots
+    (every knot but each object's first and last); its output must be
+    the per-object reference's, bit for bit."""
+
+    @pytest.fixture(params=["two_knot", "unpadded", "padded"])
+    def any_store(self, request, store):
+        if request.param == "two_knot":
+            return two_knot_store()
+        if request.param == "unpadded":
+            return unpadded_store()
+        return store
+
+    def test_index_holds_the_interior_knots_sorted(self, any_store):
+        view = any_store.csr_view()
+        interior = [
+            (t, row)
+            for row, fn in enumerate(any_store.functions)
+            for t in fn.times[1:-1].tolist()
+        ]
+        assert view.index_times.size == len(interior)
+        assert np.all(np.diff(view.index_times) >= 0)
+        assert view.index_rows.dtype == np.int32
+        indexed = zip(view.index_times.tolist(), view.index_rows.tolist())
+        assert sorted(indexed) == sorted(interior)
+
+    def test_two_knot_objects_have_no_interior_knots(self):
+        store = PLFStore([
+            PiecewiseLinearFunction([0.0, 5.0], [1.0, 2.0]),
+            PiecewiseLinearFunction([2.0, 9.0], [3.0, 0.0]),
+        ])
+        assert store.csr_view().index_times.size == 0
+        assert_locates_like_reference(store, adversarial_times(store))
+
+    def test_adversarial_grids(self, any_store):
+        ts = adversarial_times(any_store)
+        assert_locates_like_reference(any_store, ts)
+        # q = 1, one time repeated, and the sorted grid.
+        for one in ts[:12]:
+            assert_locates_like_reference(any_store, np.asarray([one]))
+        assert_locates_like_reference(any_store, np.full(5, ts[0]))
+        assert_locates_like_reference(any_store, np.sort(ts))
+
+    def test_mounted_store(self, tmp_path):
+        built = two_knot_store()
+        write_store_segment(tmp_path / "store.seg", built)
+        mounted = PLFStore.from_segments(tmp_path / "store.seg")
+        ts = adversarial_times(built)
+        assert_locates_like_reference(mounted, ts)
+        assert np.array_equal(
+            mounted.csr_view().index_times, built.csr_view().index_times
+        )
+
+    def test_tiny_chunks(self, any_store, monkeypatch):
+        import repro.core.plfstore as mod
+
+        ts = adversarial_times(any_store)
+        ts = ts[np.isfinite(ts)]
+        full = any_store.cumulative_at_many(ts)
+        values = any_store.values_at_many(ts)
+        monkeypatch.setattr(mod, "_CHUNK_ELEMENTS", any_store.num_objects)
+        assert np.array_equal(any_store.cumulative_at_many(ts), full)
+        assert np.array_equal(any_store.values_at_many(ts), values)
+        for row, t in enumerate(ts):
+            assert np.array_equal(full[row], any_store.cumulative_at(t))
+            assert np.array_equal(values[row], any_store.values_at(t))
 
 
 class TestValuesAndTopK:

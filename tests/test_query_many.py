@@ -26,11 +26,11 @@ from repro.core.queries import TopKQuery, workload_arrays
 from repro.datasets import sample_instant_workload, sample_workload
 from repro.datasets.workload import WorkloadBatch
 from repro.exact import Exact2, Exact3
-from repro.exact import exact3 as exact3_module
-from repro.exact.exact3 import SPLIT_WORK, stab_cumulatives_many
+from repro.exact.exact3 import stab_cumulatives_many
 from repro.instant.engine import InstantBruteForce, InstantIntervalTree
 from repro.parallel import executor as executor_module
 from repro.parallel import split_threads
+from repro.parallel.executor import SPLIT_WORK
 from repro.storage import BlockDevice
 
 from _support import force_threads, make_random_database
@@ -140,7 +140,7 @@ def test_query_many_tie_heavy(tie_db, cls):
 
 @pytest.mark.parametrize("workers", EXECUTOR_MATRIX)
 def test_exact3_executor_matrix(db, workers, monkeypatch):
-    ran = force_threads(monkeypatch, exact3_module, workers)
+    ran = force_threads(monkeypatch, executor_module, workers)
     method = Exact3().build(db)
     t1s, t2s, ks = tricky_workload(db, method)
     assert_batch_equals_scalar(method, t1s, t2s, ks)
@@ -166,7 +166,7 @@ def test_exact3_split_answers_and_io_byte_identical(db, monkeypatch):
     batch = np.stack(tricky_workload(db, method), axis=1)
     runs = []
     for threads in (1, 2):
-        ran = force_threads(monkeypatch, exact3_module, threads)
+        ran = force_threads(monkeypatch, executor_module, threads)
         before = method.io_stats.reads
         got = method.query_many(batch)
         reads = method.io_stats.reads - before
@@ -183,10 +183,96 @@ def test_exact3_pool_worker_never_splits(db, monkeypatch):
     method = Exact3().build(db)
     t1s, t2s, ks = tricky_workload(db, method)
     expected = method.query_many(np.stack([t1s, t2s, ks], axis=1))
-    ran = force_threads(monkeypatch, exact3_module, 2)
+    ran = force_threads(monkeypatch, executor_module, 2)
     monkeypatch.setattr(executor_module, "_WORKER_STATE", ("pool",))
     assert method.query_many(np.stack([t1s, t2s, ks], axis=1)) == expected
     assert ran and set(ran) == {1}
+
+
+# The cumulative kernel and the instant tree split their rows under the
+# same rule: forced inline and forced split, every byte must agree.
+def test_cumulative_kernel_split_byte_identical(db, monkeypatch):
+    store = db.store()
+    ts = np.concatenate([
+        sample_instant_workload(db, count=80, kmax=KMAX, seed=9)[0],
+        store.knot_times[[5, 77, 200]],
+        [db.span[0] - 1.0, db.span[1] + 1.0],
+    ])
+    runs = []
+    for threads in (1, 2):
+        ran = force_threads(monkeypatch, executor_module, threads)
+        runs.append(store.cumulative_at_many(ts).tobytes())
+        assert ran == [threads]
+    assert runs[0] == runs[1]
+
+
+def test_instant_tree_split_byte_identical(db, monkeypatch):
+    engine = InstantIntervalTree().build(db)
+    ts, ks = sample_instant_workload(db, count=60, kmax=KMAX, seed=8)
+    ts = np.concatenate([ts, db.store().knot_times[[4, 90]]])
+    ks = np.concatenate([ks, [3, 5]])
+    runs = []
+    for threads in (1, 2):
+        ran = force_threads(monkeypatch, executor_module, threads)
+        before = engine.io_stats.reads
+        got = engine.query_many(ts, ks)
+        assert ran == [threads]
+        runs.append((
+            [r.object_ids for r in got],
+            [np.asarray(r.scores).tobytes() for r in got],
+            engine.io_stats.reads - before,
+        ))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("protocol", ["scatter", "threshold"])
+def test_time_cluster_split_byte_identical(db, protocol, monkeypatch):
+    from repro.distributed import TimePartitionedCluster
+
+    t1s, t2s, ks = tricky_workload(db, count=48, seed=23)
+    batch = np.stack([t1s, t2s, ks], axis=1)
+    runs = []
+    for threads in (1, 2):
+        ran = force_threads(monkeypatch, executor_module, threads)
+        cluster = TimePartitionedCluster(db, num_nodes=4)
+        got = cluster.query_many(batch, protocol=protocol)
+        assert ran and set(ran) == {threads}
+        runs.append((
+            [r.object_ids for r in got],
+            [np.asarray(r.scores).tobytes() for r in got],
+            [r.coverage for r in got],
+            cluster.comm.snapshot(),
+            list(cluster.comm.rounds),
+        ))
+    assert runs[0] == runs[1]
+
+
+def test_one_usable_cpu_splits_no_kernel(db, monkeypatch):
+    """A process pinned to one CPU runs every row split inline, however
+    many CPUs the host has."""
+    from repro.distributed import TimePartitionedCluster
+
+    monkeypatch.setattr(executor_module, "SPLIT_WORK", 0)
+    monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(
+        executor_module.os, "sched_getaffinity", lambda pid: {0},
+        raising=False,
+    )
+    ran = []
+    real = executor_module.thread_map
+
+    def spy(fn, tasks, workers):
+        ran.append(workers)
+        return real(fn, tasks, workers)
+
+    monkeypatch.setattr(executor_module, "thread_map", spy)
+    t1s, t2s, ks = tricky_workload(db, count=32)
+    batch = np.stack([t1s, t2s, ks], axis=1)
+    Exact3().build(db).query_many(batch)
+    InstantIntervalTree().build(db).query_many(t1s, ks)
+    db.store().cumulative_at_many(t2s)
+    TimePartitionedCluster(db, num_nodes=4).query_many(batch)
+    assert len(ran) >= 4 and set(ran) == {1}
 
 
 def reference_stab_cumulatives(view, ts):

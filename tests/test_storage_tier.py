@@ -19,7 +19,7 @@ import repro
 from repro.core import buildcount
 from repro.core.queries import TopKQuery
 from repro.engine import TemporalRankingEngine
-from repro.exact import exact3 as exact3_module
+from repro.parallel import executor as executor_module
 from repro.parallel import WorkerPool
 from repro.storage.catalog import SCHEMA_VERSION, Catalog
 from repro.storage.device import BlockDevice, BlockDeviceError
@@ -227,7 +227,7 @@ class TestEngineSnapshot:
             [(q.t1, q.t2, q.k) for q in _queries(engine.database, count=30)]
         )
         expected = engine.top_k_many(batch)
-        ran = force_threads(monkeypatch, exact3_module, workers)
+        ran = force_threads(monkeypatch, executor_module, workers)
         got = mounted.top_k_many(batch)
         assert ran and set(ran) == {workers}
         for a, b in zip(expected, got):
